@@ -109,7 +109,11 @@ func clusterInto(c *Clusters, sorted []ScoredPair, confirmed, split []Pair) {
 			return false
 		}
 		r := c.uf.Union(ra, rb)
-		// The merged set inherits both cannot-link sets.
+		// The merged set inherits both cannot-link sets. Most unions join
+		// two roots that have none, and then there is nothing to carry.
+		if len(cannot[ra]) == 0 && len(cannot[rb]) == 0 {
+			return true
+		}
 		merged := map[int]struct{}{}
 		for o := range cannot[ra] {
 			merged[o] = struct{}{}

@@ -380,14 +380,12 @@ func (s *Session) pristine() bool {
 		len(s.answeredM) == 0 && len(s.answeredO) == 0
 }
 
-// pristineVis serves the primary view's shared initial chart while the
+// pristineVisView serves view v's shared initial chart while the
 // session is pristine; nil sends the caller down the private build path.
-func (s *Session) pristineVis() *vis.Data { return s.pristineVisView(0) }
-
-// pristineVisView is pristineVis for view v. Each view has its own
-// cache slot, keyed by the view's query string on top of the table
-// fingerprint, so concurrent sessions over the same data share per-view
-// charts and baselines independently of which other views they carry.
+// Each view has its own cache slot, keyed by the view's query string on
+// top of the table fingerprint, so concurrent sessions over the same
+// data share per-view charts and baselines independently of which other
+// views they carry.
 func (s *Session) pristineVisView(v int) *vis.Data {
 	if !s.pristine() {
 		return nil
@@ -395,8 +393,7 @@ func (s *Session) pristineVisView(v int) *vis.Data {
 	if s.basevis[v] == nil {
 		q := s.queries[v]
 		a := s.acquire("basevis:q="+q.String(), func() (artifact.Artifact, error) {
-			view := s.buildView(s.clusters, s.std, nil)
-			d, err := q.Execute(view)
+			d, err := q.Execute(s.relTable())
 			if err != nil {
 				return nil, err
 			}

@@ -8,26 +8,26 @@ import (
 	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
-	"visclean/internal/vis"
 	"visclean/internal/vql"
 )
 
 // deltaPricer prices hypotheses by incremental delta evaluation instead
 // of the full view-rebuild-and-execute path. One pricer is built per
-// iteration after freezeShared; it registers the base view's rows with
-// an incremental query executor and the base visualization with an
-// incremental distance baseline, and each hypothesis then costs only its
-// delta:
+// iteration after freezeShared over the session's committed relation
+// (committed.go): it registers the committed rows with one incremental
+// query executor per view and prices against the views' committed
+// distance baselines, and each hypothesis then costs only its delta:
 //
 //   - an M/O cell override perturbs exactly one cluster's consolidated
-//     row;
+//     row, and only its yCol cell;
 //   - an A-approval rewrites only the clusters whose rows carry a value
 //     of the two merged synonym classes, found through per-column
-//     value→clusters posting lists;
+//     value→clusters posting lists, and only in that column;
 //   - a T-answer rebuilds the entity partition (cheap: one union-find
 //     pass over the shared merge list) and diffs it against the base
-//     partition — only base clusters that are no longer intact, plus the
-//     posting-dirty clusters of the implied A-equations, are rebuilt.
+//     partition — only base clusters that are no longer intact are
+//     rebuilt in full; the posting-dirty clusters of the implied
+//     A-equations re-resolve just those equations' columns.
 //
 // The partition diff is sound because every tuple belongs to exactly one
 // base cluster: if a hypothetical cluster mixed tuples of an intact base
@@ -36,30 +36,32 @@ import (
 // therefore be regrouped among themselves.
 //
 // Bit-identity: every float produced here is computed by the same code
-// in the same order as the full path — rows via viewRowFor (shared with
-// buildView), charts via vql.Incremental (contract-tested against
-// Execute), distances via distance.Baseline (replays Default's exact
-// arithmetic). price returns ok=false whenever a hypothesis falls
-// outside the incremental fast path (unknown value, construction
-// failure); the estimator then falls back to the full rebuild, so
-// correctness never depends on coverage.
+// in the same order as the full path — rows and cells via viewRowFor
+// and viewCellFor (shared with buildView; a row's columns resolve
+// independently, so a committed row with its touched columns
+// re-resolved equals the row rebuilt in full), charts via
+// vql.Incremental (contract-tested against Execute), distances via
+// distance.Baseline (replays Default's exact arithmetic). price returns
+// ok=false whenever a hypothesis falls outside the incremental fast path
+// (unknown value, construction failure); the estimator then falls back
+// to the full rebuild, so correctness never depends on coverage.
 //
 // The pricer is immutable after construction and safe for concurrent
-// price calls: it reads only frozen session state and per-call private
-// structures.
+// price calls: it reads only frozen session state, the committed
+// relation (never written once built) and per-call private structures.
 type deltaPricer struct {
 	s *Session
 	// bases / execs hold one distance baseline and one incremental
 	// executor per registered view, in registration order. All
-	// executors are registered over the same base rows (the cleaned
+	// executors are registered over the same committed rows (the cleaned
 	// relation is query-independent), so one delta materialization
 	// prices every view.
 	bases []*distance.Baseline
 	execs []*vql.Incremental
 
-	groups  [][]dataset.TupleID // base partition, Groups(1) order
+	groups  [][]dataset.TupleID // committed partition, Groups(1) order
+	rows    [][]dataset.Value   // committed rows; nil when a group has none
 	ranks   []int64             // ranks[gi] = int64(groups[gi][0])
-	hasRow  []bool              // group produced a base view row
 	groupOf map[dataset.TupleID]int
 
 	// posting[col][rep] lists the groups (ascending) with a member whose
@@ -80,26 +82,26 @@ type deltaPricer struct {
 	yNumeric bool
 }
 
-// newDeltaPricer captures the base state of one iteration; bases holds
-// each view's current chart in registration order. Callers must
-// freezeShared first. Returns nil when any view's query cannot be
-// evaluated incrementally (the estimator then uses the full path
-// throughout).
-func (s *Session) newDeltaPricer(bases []*vis.Data) *deltaPricer {
+// newDeltaPricer captures the base state of one iteration from the
+// committed relation. Callers must freezeShared first. Returns nil when
+// a view's chart cannot be derived or its query cannot be evaluated
+// incrementally (the estimator then uses the full path throughout).
+func (s *Session) newDeltaPricer() *deltaPricer {
+	if _, err := s.relCharts(); err != nil {
+		return nil
+	}
+	rel := s.relRows()
 	p := &deltaPricer{
 		s:        s,
-		groups:   s.clusters.Groups(1),
+		bases:    s.relBaselines(),
+		groups:   rel.groups,
+		rows:     rel.rows,
 		groupOf:  make(map[dataset.TupleID]int),
 		posting:  make(map[string]map[string][]int),
 		rawRep:   make(map[string]map[string]string),
 		yNumeric: s.table.Schema()[s.yCol].Kind == dataset.Float,
 	}
-	p.bases = make([]*distance.Baseline, len(s.queries))
-	for v := range s.queries {
-		p.bases[v] = s.baselineFor(v, bases[v])
-	}
 	p.ranks = make([]int64, len(p.groups))
-	p.hasRow = make([]bool, len(p.groups))
 
 	rows := make([]vql.IncRow, 0, len(p.groups))
 	for gi, g := range p.groups {
@@ -107,10 +109,8 @@ func (s *Session) newDeltaPricer(bases []*vis.Data) *deltaPricer {
 		for _, id := range g {
 			p.groupOf[id] = gi
 		}
-		vals, ok := s.viewRowFor(g, s.std, nil)
-		p.hasRow[gi] = ok
-		if ok {
-			rows = append(rows, vql.IncRow{Rank: p.ranks[gi], Vals: vals})
+		if p.rows[gi] != nil {
+			rows = append(rows, vql.IncRow{Rank: p.ranks[gi], Vals: p.rows[gi]})
 		}
 	}
 	p.execs = make([]*vql.Incremental, len(s.queries))
@@ -194,19 +194,18 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		if ov.Set(h.ID, p.s.yCol, dataset.Num(h.Value)) != nil {
 			return 0, false
 		}
-		return p.eval([]int{gi}, [][]dataset.TupleID{p.groups[gi]}, p.s.std, ov)
+		return p.eval(nil, nil, []int{gi}, []int{p.s.yCol}, p.s.std, ov)
 
 	case benefit.AApprove:
 		if p.s.std[h.Column] == nil {
 			return 0, true // full path: nil hypothetical chart
 		}
-		changes := []stdChange{{name: h.Column, v1: h.V1, v2: h.V2}}
+		changes := []stdChange{{col: p.s.table.ColumnIndex(h.Column), name: h.Column, v1: h.V1, v2: h.V2}}
 		dirty, ok := p.postingDirty(changes)
 		if !ok {
 			return 0, false
 		}
-		removed, regrouped := p.sameGroups(dirty)
-		return p.eval(removed, regrouped, p.s.stdOverride(changes), nil)
+		return p.eval(nil, nil, dirty, changeCols(changes), p.s.stdOverride(changes), nil)
 
 	case benefit.TConfirm, benefit.TSplit:
 		// Fast paths that skip the union-find rebuild entirely. Each is
@@ -233,7 +232,7 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		giB, okB := p.groupOf[h.Pair.B]
 		if okA && okB {
 			if h.Kind == benefit.TSplit && giA != giB {
-				return p.eval(nil, nil, p.s.std, nil)
+				return p.eval(nil, nil, nil, nil, p.s.std, nil)
 			}
 			if h.Kind == benefit.TConfirm {
 				changes := p.s.tPairChanges(h.Pair)
@@ -245,29 +244,22 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 				if override := p.s.stdOverride(changes); override != nil {
 					std = override
 				}
+				cols := changeCols(changes)
 				if giA == giB {
-					removed, regrouped := p.sameGroups(postDirty)
-					return p.eval(removed, regrouped, std, nil)
+					return p.eval(nil, nil, postDirty, cols, std, nil)
 				}
 				if !p.splitTouched[giA] && !p.splitTouched[giB] {
 					merged := make([]dataset.TupleID, 0, len(p.groups[giA])+len(p.groups[giB]))
 					merged = append(merged, p.groups[giA]...)
 					merged = append(merged, p.groups[giB]...)
 					sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-					lo, hi := giA, giB
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					removed := []int{lo, hi}
-					regrouped := [][]dataset.TupleID{merged}
-					for gi := range postDirty {
-						if gi == giA || gi == giB {
-							continue
+					retouched := make([]int, 0, len(postDirty))
+					for _, gi := range postDirty {
+						if gi != giA && gi != giB {
+							retouched = append(retouched, gi)
 						}
-						removed = append(removed, gi)
-						regrouped = append(regrouped, p.groups[gi])
 					}
-					return p.eval(removed, regrouped, std, nil)
+					return p.eval([]int{giA, giB}, [][]dataset.TupleID{merged}, retouched, cols, std, nil)
 				}
 			}
 		}
@@ -291,12 +283,12 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 
 		// Partition diff: base clusters no longer intact are dissolved and
 		// their tuples regrouped by their hypothetical root.
-		var removed []int
+		var dissolved []int
 		var dirtyTuples []dataset.TupleID
 		partDirty := make(map[int]struct{})
 		for gi, g := range p.groups {
 			if !cl.GroupIntact(g) {
-				removed = append(removed, gi)
+				dissolved = append(dissolved, gi)
 				partDirty[gi] = struct{}{}
 				dirtyTuples = append(dirtyTuples, g...)
 			}
@@ -313,35 +305,32 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 			}
 			byRoot[root] = append(byRoot[root], id)
 		}
-		regrouped := make([][]dataset.TupleID, 0, len(rootOrder)+len(postDirty))
+		regrouped := make([][]dataset.TupleID, 0, len(rootOrder))
 		for _, root := range rootOrder {
 			members := byRoot[root]
 			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
 			regrouped = append(regrouped, members)
 		}
-		// Posting-dirty clusters keep their membership but re-resolve
-		// under the standardizer override (unless already dissolved).
-		for gi := range postDirty {
-			if _, dissolved := partDirty[gi]; dissolved {
-				continue
+		// Posting-dirty clusters keep their membership but re-resolve the
+		// equated columns (unless already dissolved).
+		retouched := make([]int, 0, len(postDirty))
+		for _, gi := range postDirty {
+			if _, gone := partDirty[gi]; !gone {
+				retouched = append(retouched, gi)
 			}
-			removed = append(removed, gi)
-			regrouped = append(regrouped, p.groups[gi])
 		}
-		return p.eval(removed, regrouped, std, nil)
+		return p.eval(dissolved, regrouped, retouched, changeCols(changes), std, nil)
 
 	default:
 		return 0, false
 	}
 }
 
-// postingDirty unions the posting lists of every change's two value
-// classes. ok=false when a value is unknown to the base index.
-func (p *deltaPricer) postingDirty(changes []stdChange) (map[int]struct{}, bool) {
-	if len(changes) == 0 {
-		return nil, true
-	}
-	out := make(map[int]struct{})
+// postingDirty lists, ascending, the groups in the posting lists of
+// every change's two value classes. ok=false when a value is unknown to
+// the base index.
+func (p *deltaPricer) postingDirty(changes []stdChange) ([]int, bool) {
+	var out []int
 	for _, ch := range changes {
 		reps := p.rawRep[ch.name]
 		if reps == nil {
@@ -352,50 +341,53 @@ func (p *deltaPricer) postingDirty(changes []stdChange) (map[int]struct{}, bool)
 		if !ok1 || !ok2 {
 			return nil, false
 		}
-		for _, gi := range p.posting[ch.name][r1] {
-			out[gi] = struct{}{}
-		}
-		for _, gi := range p.posting[ch.name][r2] {
-			out[gi] = struct{}{}
-		}
+		out = append(out, p.posting[ch.name][r1]...)
+		out = append(out, p.posting[ch.name][r2]...)
 	}
-	return out, true
+	sort.Ints(out)
+	return dedupSortedInts(out), true
 }
 
-// sameGroups expands a dirty-group set into matching removed/regrouped
-// lists (membership unchanged; rows will re-resolve under an override).
-func (p *deltaPricer) sameGroups(dirty map[int]struct{}) ([]int, [][]dataset.TupleID) {
-	removed := make([]int, 0, len(dirty))
-	for gi := range dirty {
-		removed = append(removed, gi)
+// changeCols lists the columns a set of value equations rewrites.
+func changeCols(changes []stdChange) []int {
+	cols := make([]int, len(changes))
+	for i, ch := range changes {
+		cols[i] = ch.col
 	}
-	sort.Ints(removed)
-	regrouped := make([][]dataset.TupleID, len(removed))
-	for i, gi := range removed {
-		regrouped[i] = p.groups[gi]
-	}
-	return removed, regrouped
+	return cols
 }
 
-// eval materializes the delta — removed base groups and regrouped member
-// lists — into the hypothetical chart and returns its distance from the
-// base.
-func (p *deltaPricer) eval(removed []int, regrouped [][]dataset.TupleID, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) (float64, bool) {
-	ranks := make([]int64, 0, len(removed))
-	for _, gi := range removed {
-		if p.hasRow[gi] {
+// eval materializes one hypothesis's delta into every view's chart and
+// returns its (weighted) distance from the base. Dissolved base groups
+// give way to the regrouped member lists, whose rows consolidate in
+// full. Retouched base groups keep their members, so their committed
+// row is reused with only cols re-resolved under std and ov — a group
+// with no committed row still has none.
+func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retouched, cols []int, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) (float64, bool) {
+	ranks := make([]int64, 0, len(dissolved)+len(retouched))
+	added := make([]vql.IncRow, 0, len(regrouped)+len(retouched))
+	for _, gi := range dissolved {
+		if p.rows[gi] != nil {
 			ranks = append(ranks, p.ranks[gi])
 		}
 	}
-	sort.Slice(regrouped, func(a, b int) bool { return regrouped[a][0] < regrouped[b][0] })
-	added := make([]vql.IncRow, 0, len(regrouped))
-	for _, g := range regrouped {
-		vals, ok := p.s.viewRowFor(g, std, ov)
-		if !ok {
+	for _, gi := range retouched {
+		if p.rows[gi] == nil {
 			continue
 		}
-		added = append(added, vql.IncRow{Rank: int64(g[0]), Vals: vals})
+		row := append([]dataset.Value(nil), p.rows[gi]...)
+		for _, c := range cols {
+			row[c] = p.s.viewCellFor(p.groups[gi], c, std, ov)
+		}
+		ranks = append(ranks, p.ranks[gi])
+		added = append(added, vql.IncRow{Rank: p.ranks[gi], Vals: row})
 	}
+	for _, g := range regrouped {
+		if vals, ok := p.s.viewRowFor(g, std, ov); ok {
+			added = append(added, vql.IncRow{Rank: int64(g[0]), Vals: vals})
+		}
+	}
+	sort.Slice(added, func(a, b int) bool { return added[a].Rank < added[b].Rank })
 	if len(p.execs) == 1 {
 		// Single view: the historical scalar path, kept separate so the
 		// N=1 session stays bit-identical even against a Dist that

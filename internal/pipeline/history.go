@@ -81,7 +81,10 @@ func (s *Session) History() History {
 }
 
 // logAnswer appends an applied answer to the in-flight iteration's log.
+// Every state change, answers and view registrations alike, passes
+// through here, so it also drops the committed relation.
 func (s *Session) logAnswer(a Answer) {
+	s.rel = nil
 	s.current = append(s.current, a)
 }
 

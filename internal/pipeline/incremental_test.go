@@ -4,11 +4,12 @@ package pipeline
 // is that it is a pure optimization: for every hypothesis it either
 // returns the exact float the full rebuild path would (bit-identical,
 // not approximately equal), or declines so the estimator falls back.
-// These tests enforce the contract both per-hypothesis (every priced
-// hypothesis, both ways, on multiple seeds and at advancing session
-// states) and end-to-end (whole sessions with the pricer on vs off must
-// produce byte-identical traces across selectors, seeds, and worker
-// counts). scripts/check.sh runs this file under -race alongside the
+// These tests enforce the contract end-to-end: whole sessions with the
+// pricer on vs off must produce byte-identical traces across selectors,
+// seeds, and worker counts. The per-hypothesis half of the suite
+// (every priced hypothesis, both ways, over five workloads at advancing
+// session states) is TestIncrementalPricingBitIdentical in
+// pricing_test.go. scripts/check.sh runs both under -race alongside the
 // determinism suite.
 
 import (
@@ -16,98 +17,8 @@ import (
 	"fmt"
 	"testing"
 
-	"visclean/internal/benefit"
-	"visclean/internal/em"
-	"visclean/internal/erg"
 	"visclean/internal/oracle"
-	"visclean/internal/vis"
 )
-
-// collectHypotheses enumerates every hypothesis the estimator would
-// price for the graph, in annotation order.
-func collectHypotheses(g *erg.Graph) []benefit.Hypothesis {
-	var hs []benefit.Hypothesis
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(i)
-		if e.HasT {
-			pair := em.MakePair(e.A, e.B)
-			hs = append(hs,
-				benefit.Hypothesis{Kind: benefit.TConfirm, Pair: pair},
-				benefit.Hypothesis{Kind: benefit.TSplit, Pair: pair})
-		}
-		if e.HasA {
-			hs = append(hs, benefit.Hypothesis{Kind: benefit.AApprove, Column: e.ACol, V1: e.AV1, V2: e.AV2})
-		}
-	}
-	for _, r := range g.Repairs() {
-		kind := benefit.ORepair
-		if r.Kind == erg.Missing {
-			kind = benefit.MImpute
-		}
-		hs = append(hs, benefit.Hypothesis{Kind: kind, ID: r.ID, Value: r.Suggested})
-	}
-	return hs
-}
-
-// TestIncrementalPricingBitIdentical prices every hypothesis of the
-// first three iterations' ERGs both incrementally and via full rebuild,
-// on two seeds, and requires exact float equality wherever the pricer
-// accepts — plus that it accepts the overwhelming majority (the fast
-// path must actually be the common path for the optimization to mean
-// anything).
-func TestIncrementalPricingBitIdentical(t *testing.T) {
-	for _, seed := range []int64{7, 13} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			s, user := newDetSession(t, SelectGSS, seed, 1)
-			priced, declined := 0, 0
-			for iter := 0; iter < 3; iter++ {
-				base, err := s.CurrentVis()
-				if err != nil {
-					t.Fatal(err)
-				}
-				qs := s.detectQuestions()
-				g := s.buildERG(qs)
-				s.freezeShared()
-				p := s.newDeltaPricer([]*vis.Data{base})
-				if p == nil {
-					t.Fatal("newDeltaPricer returned nil for an executable query")
-				}
-				for _, h := range collectHypotheses(g) {
-					full := 0.0
-					if after := s.hypotheticalVis(h); after != nil {
-						full = s.cfg.Dist(base, after)
-					}
-					inc, ok := p.price(h)
-					if !ok {
-						declined++
-						continue
-					}
-					priced++
-					if inc != full {
-						t.Fatalf("iter %d %v %+v: incremental %v != full %v",
-							iter, h.Kind, h, inc, full)
-					}
-				}
-				rep, err := s.RunIteration(user)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Exhausted {
-					break
-				}
-			}
-			if priced == 0 {
-				t.Fatal("delta pricer accepted no hypotheses")
-			}
-			if declined > priced/10 {
-				t.Errorf("delta pricer declined %d of %d hypotheses; fast path is not the common path",
-					declined, priced+declined)
-			}
-		})
-	}
-}
 
 // runIncSession is runDetSession with the incremental pricer toggled.
 func runIncSession(t testing.TB, selector SelectorKind, seed int64, workers int, noInc bool) detTrace {

@@ -134,19 +134,6 @@ func (s *Session) Run(user User, budget int) ([]Report, error) {
 	return out, nil
 }
 
-// DistToTruth reports the current distance to the ground-truth
-// visualization (0 if none configured).
-func (s *Session) DistToTruth() (float64, error) {
-	if s.cfg.TruthVis == nil {
-		return 0, nil
-	}
-	cur, err := s.CurrentVis()
-	if err != nil {
-		return 0, err
-	}
-	return s.cfg.Dist(cur, s.cfg.TruthVis), nil
-}
-
 // detectQuestions runs the four detectors of §IV (framework step 2).
 // Detection is pure: it reads session state but never mutates it, so a
 // crash or cancellation between detect and commit leaves nothing to
@@ -674,7 +661,7 @@ func (s *Session) newEstimator(bases []*vis.Data, workers int) *benefit.Estimato
 		est.HypotheticalAll = s.hypotheticalVisAll
 	}
 	if !s.cfg.NoIncremental {
-		if p := s.newDeltaPricer(bases); p != nil {
+		if p := s.newDeltaPricer(); p != nil {
 			est.Pricer = p.price
 		}
 	}

@@ -72,8 +72,6 @@ func (s SelectorKind) String() string {
 // Config parameterizes a cleaning session. Zero values select the
 // paper's defaults where one exists.
 type Config struct {
-	Query *vql.Query
-
 	// Queries registers additional concurrent views beyond the primary
 	// query passed to NewSession: the session then serves N dashboard
 	// panels over the same base data, and every question's benefit is
@@ -241,10 +239,9 @@ func (c *Config) withDefaults() Config {
 type Session struct {
 	cfg   Config
 	table *dataset.Table
-	query *vql.Query
 
 	// queries lists every registered view's query in registration
-	// order; queries[0] == query always. viewWeights aligns with it.
+	// order; queries[0] is the primary query. viewWeights aligns with it.
 	// Views added mid-session (AddView) append here and log an
 	// AnswerKindV entry so replay restores them at the same point.
 	queries     []*vql.Query
@@ -295,6 +292,10 @@ type Session struct {
 
 	clusters *em.Clusters
 	iter     int
+
+	// rel is the committed cleaned relation over clusters, std and the
+	// working table (see committed.go); nil once any of them changes.
+	rel *committedRel
 
 	// traceLabel tags this session's iteration traces in the shared
 	// obs tracer (the service layer sets it to the public session id).
@@ -365,7 +366,6 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 	s := &Session{
 		cfg:       cfg,
 		table:     table.Clone(), // never mutate the caller's table
-		query:     query,
 		xCol:      table.ColumnIndex(query.X),
 		yCol:      table.ColumnIndex(query.Y),
 		std:       map[string]*goldenrec.Standardizer{},
@@ -470,6 +470,7 @@ func (s *Session) bootstrapMatcher() {
 // rebuilds the synonym classes from the accumulated A votes and rebuilds
 // the entity clustering (framework step 6's model update).
 func (s *Session) refreshModel() {
+	s.rel = nil
 	_ = s.matcher.Train(s.table) // single-class training silently keeps the heuristic
 	if s.featCache == nil {
 		s.featCache = make(map[em.Pair][]float64, len(s.candidates))
@@ -571,6 +572,7 @@ func (s *Session) markDirty(id dataset.TupleID) {
 // ~15 composite questions cannot touch hundreds of distinct variant
 // spellings.
 func (s *Session) rebuildStandardizers() {
+	s.rel = nil
 	schema := s.table.Schema()
 	s.std = map[string]*goldenrec.Standardizer{}
 	for _, c := range s.aColumns {
@@ -769,10 +771,11 @@ func (s *Session) maintainKnnIndex() {
 }
 
 // Table returns the session's working table (with user repairs applied).
+// Callers must not modify it: the session's charts are cached over it.
 func (s *Session) Table() *dataset.Table { return s.table }
 
 // Query returns the session's visualization query.
-func (s *Session) Query() *vql.Query { return s.query }
+func (s *Session) Query() *vql.Query { return s.queries[0] }
 
 // Iteration returns the number of completed iterations.
 func (s *Session) Iteration() int { return s.iter }
@@ -786,6 +789,13 @@ func (s *Session) SetTraceLabel(label string) { s.traceLabel = label }
 // paper buckets under "refresh"). Each field also feeds the
 // visclean_iteration_phase_seconds metric and the per-iteration trace
 // span of the same phase name (see internal/obs and DESIGN.md §5).
+//
+// View is the after build: the committed relation rebuilt over the
+// refreshed model, and every view's query executed over it. The before
+// charts are that relation as the previous iteration left it, so they
+// cost nothing — except on a session's first iteration, or after a
+// cancelled iteration, an AddView or a Replay, when View also pays for
+// building them.
 type Timings struct {
 	Detect   time.Duration // error detection: Q_T/Q_A/Q_M/Q_O generation
 	BuildERG time.Duration // ERG construction
@@ -793,7 +803,7 @@ type Timings struct {
 	Select   time.Duration // CQG selection
 	Apply    time.Duration // repairing data from answers
 	Train    time.Duration // model retraining + cluster refresh
-	View     time.Duration // cleaned-view build + query execution (before/after charts)
+	View     time.Duration // committed-relation build + query execution (see below)
 	Distance time.Duration // visualization distance computations (moved / to-truth)
 }
 

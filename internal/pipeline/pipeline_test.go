@@ -26,7 +26,6 @@ func newScaledSession(t testing.TB, selector SelectorKind, seed int64, scale flo
 		t.Fatal(err)
 	}
 	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{
-		Query:    q,
 		Selector: selector,
 		Seed:     seed,
 		TruthVis: truthVis,

@@ -38,18 +38,31 @@ func (s *Session) buildView(cl *em.Clusters, std map[string]*goldenrec.Standardi
 // hypothesis pricer can rebuild exactly the rows a hypothesis perturbs.
 // ok is false when the group yields no row (vanished tuple).
 func (s *Session) viewRowFor(group []dataset.TupleID, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) ([]dataset.Value, bool) {
-	schema := s.table.Schema()
-	cell := func(id dataset.TupleID, c int, v dataset.Value) dataset.Value {
+	if len(group) == 1 {
+		if _, ok := s.table.RowIndex(group[0]); !ok {
+			return nil, false
+		}
+	}
+	out := make([]dataset.Value, s.table.NumCols())
+	for c := range out {
+		out[c] = s.viewCellFor(group, c, std, ov)
+	}
+	return out, true
+}
+
+// viewCellFor consolidates column c of one entity cluster. A row's
+// columns resolve independently of each other, which is what lets the
+// delta pricer keep a committed row and re-resolve only the columns a
+// hypothesis touches.
+func (s *Session) viewCellFor(group []dataset.TupleID, c int, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) dataset.Value {
+	col := s.table.Schema()[c]
+	st := std[col.Name]
+	cell := func(id dataset.TupleID, v dataset.Value) dataset.Value {
 		if ov != nil {
 			if pv, ok := ov.Patch(id, c); ok {
-				return pv
+				v = pv
 			}
 		}
-		return v
-	}
-	canonical := func(c int, v dataset.Value) dataset.Value {
-		name := schema[c].Name
-		st := std[name]
 		if st == nil {
 			return v
 		}
@@ -61,29 +74,18 @@ func (s *Session) viewRowFor(group []dataset.TupleID, std map[string]*goldenrec.
 	}
 
 	if len(group) == 1 {
-		if _, ok := s.table.RowIndex(group[0]); !ok {
-			return nil, false
-		}
-		out := make([]dataset.Value, len(schema))
-		for c := range schema {
-			v, _ := s.table.GetByID(group[0], c)
-			out[c] = canonical(c, cell(group[0], c, v))
-		}
-		return out, true
+		v, _ := s.table.GetByID(group[0], c)
+		return cell(group[0], v)
 	}
-	out := make([]dataset.Value, len(schema))
-	for c := range schema {
-		var vals []dataset.Value
-		for _, id := range group {
-			v, ok := s.table.GetByID(id, c)
-			if !ok {
-				continue
-			}
-			vals = append(vals, canonical(c, cell(id, c, v)))
+	vals := make([]dataset.Value, 0, len(group))
+	for _, id := range group {
+		v, ok := s.table.GetByID(id, c)
+		if !ok {
+			continue
 		}
-		out[c] = resolve(vals, schema[c].Kind)
+		vals = append(vals, cell(id, v))
 	}
-	return out, true
+	return resolve(vals, col.Kind)
 }
 
 // resolve elects the consolidated value of a column within one cluster.
@@ -134,54 +136,13 @@ func resolve(vals []dataset.Value, kind dataset.Kind) dataset.Value {
 	return dataset.Num((nums[mid-1] + nums[mid]) / 2)
 }
 
-// CurrentVis computes the primary view's visualization over the current
-// cleaned view (framework step 7).
-func (s *Session) CurrentVis() (*vis.Data, error) {
-	return s.CurrentVisView(0)
-}
-
-// CurrentVisView computes view v's visualization over the current
-// cleaned view.
-func (s *Session) CurrentVisView(v int) (*vis.Data, error) {
-	if d := s.pristineVisView(v); d != nil {
-		return d, nil
-	}
-	view := s.buildView(s.clusters, s.std, nil)
-	return s.queries[v].Execute(view)
-}
-
-// CurrentVisAll computes every registered view's chart, in registration
-// order, over one shared cleaned-relation build.
-func (s *Session) CurrentVisAll() ([]*vis.Data, error) {
-	out := make([]*vis.Data, len(s.queries))
-	if s.pristine() {
-		served := true
-		for v := range s.queries {
-			if out[v] = s.pristineVisView(v); out[v] == nil {
-				served = false
-				break
-			}
-		}
-		if served {
-			return out, nil
-		}
-	}
-	view := s.buildView(s.clusters, s.std, nil)
-	for v, q := range s.queries {
-		d, err := q.Execute(view)
-		if err != nil {
-			return nil, err
-		}
-		out[v] = d
-	}
-	return out, nil
-}
-
 // CleanedView materializes the current cleaned relation: entity clusters
 // consolidated into golden records and attribute values standardized.
 // Per the paper's closing remark, these repairs are best treated as a
 // materialized view / suggestions for a DBA rather than destructive
-// updates — this accessor is that view.
+// updates — this accessor is that view. It derives the relation from
+// scratch every call, so it is the reference the committed relation's
+// charts are checked against.
 func (s *Session) CleanedView() *dataset.Table {
 	return s.buildView(s.clusters, s.std, nil)
 }
@@ -283,6 +244,7 @@ func (s *Session) freezeShared() {
 // incremental pricer uses the (v1, v2) pair to find the rows the change
 // can touch through its value→rows posting lists.
 type stdChange struct {
+	col    int
 	name   string
 	v1, v2 string
 }
@@ -304,7 +266,7 @@ func (s *Session) tPairChanges(p em.Pair) []stdChange {
 		if !okA || !okB || ta == tb {
 			continue
 		}
-		out = append(out, stdChange{name: schema[c].Name, v1: ta, v2: tb})
+		out = append(out, stdChange{col: c, name: schema[c].Name, v1: ta, v2: tb})
 	}
 	return out
 }
@@ -342,7 +304,7 @@ func cloneStdMap(in map[string]*goldenrec.Standardizer) map[string]*goldenrec.St
 // execution errors (hypotheses must never abort an iteration).
 func (s *Session) execView(cl *em.Clusters, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) *vis.Data {
 	view := s.buildView(cl, std, ov)
-	d, err := s.query.Execute(view)
+	d, err := s.queries[0].Execute(view)
 	if err != nil {
 		return nil
 	}

@@ -58,6 +58,12 @@ go test -race -short -count=1 -run 'TestChaos' ./internal/service/
 echo "== cluster smoke: 2 shards + consistent-hash router (-race, short mode)"
 go test -race -short -count=1 -run 'TestClusterSmoke' ./internal/cluster/
 
+# bench/ is its own module, so the root `go test ./...` never builds it;
+# its short tests (smoke run, compare gate, BENCHMARK.json declaration)
+# keep the end-to-end benchmark compiling against the internal APIs.
+echo "== end-to-end benchmark short tests (bench/ module)"
+(cd bench && go test -short ./...)
+
 echo "== loadgen smoke: self-contained cluster, 8 oracle-backed sessions"
 loadout=$(mktemp)
 go run ./cmd/loadgen -self 2 -sessions 8 -concurrency 8 -iters 1 -out "$loadout"
