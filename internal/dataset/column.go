@@ -114,13 +114,12 @@ func (c *floatCol) compact(keep []bool, kept int) {
 }
 
 // stringCol stores a String column as []uint32 codes into an interner.
-// Clones share the dictionary read-only (shared=true on both sides);
-// ensureDict copies it before the first new-string write.
+// Clones share the dictionary, which the clone freezes; codeFor copies a
+// frozen dictionary before the first new-string write.
 type stringCol struct {
-	codes  []uint32
-	nulls  bitmap
-	dict   *interner
-	shared bool
+	codes []uint32
+	nulls bitmap
+	dict  *interner
 }
 
 func newStringCol() *stringCol { return &stringCol{dict: newInterner()} }
@@ -144,14 +143,13 @@ func (c *stringCol) text(i int) (string, bool) {
 	return c.dict.strs[c.codes[i]], true
 }
 
-// codeFor interns s, copying a shared dictionary first when s is new.
+// codeFor interns s, copying a frozen dictionary first when s is new.
 func (c *stringCol) codeFor(s string) uint32 {
 	if code, ok := c.dict.lookup(s); ok {
 		return code
 	}
-	if c.shared {
+	if c.dict.frozen.Load() {
 		c.dict = c.dict.clone()
-		c.shared = false
 	}
 	return c.dict.intern(s)
 }
@@ -197,9 +195,11 @@ func (c *stringCol) clone() column {
 	codes := make([]uint32, len(c.codes))
 	copy(codes, c.codes)
 	// Both sides now treat the dictionary as frozen; whichever table
-	// first needs a new code copies it (see codeFor).
-	c.shared = true
-	return &stringCol{codes: codes, nulls: c.nulls.clone(), dict: c.dict, shared: true}
+	// first needs a new code copies it (see codeFor). The mark lives on
+	// the dictionary, not the source column, and is atomic, so
+	// concurrent clones of one table do not race.
+	c.dict.frozen.Store(true)
+	return &stringCol{codes: codes, nulls: c.nulls.clone(), dict: c.dict}
 }
 
 func (c *stringCol) permute(idx []int) {

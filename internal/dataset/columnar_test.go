@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -83,6 +85,46 @@ func TestCloneDictionaryCopyOnWrite(t *testing.T) {
 	}
 	if s, _ := cp.Get(2, 1).Text(); s != "SIGMOD" {
 		t.Fatalf("clone venue = %q after original write", s)
+	}
+}
+
+// TestConcurrentClonesCopyOnWrite clones one table from several
+// goroutines at once, each interning new strings into its own clone.
+// Cloning only reads the source, so under -race any write to shared
+// state shows, and the source must come out unchanged.
+func TestConcurrentClonesCopyOnWrite(t *testing.T) {
+	tbl := samplePubs(t)
+	want := tbl.String()
+	const clones = 8
+	var wg sync.WaitGroup
+	for w := 0; w < clones; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cp := tbl.Clone()
+			for i := 0; i < cp.NumRows(); i++ {
+				v := fmt.Sprintf("venue %d/%d", w, i)
+				if err := cp.Set(i, 1, Str(v)); err != nil {
+					t.Error(err)
+					return
+				}
+				if s, _ := cp.Get(i, 1).Text(); s != v {
+					t.Errorf("clone %d row %d venue = %q, want %q", w, i, s, v)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := tbl.String(); got != want {
+		t.Fatalf("source changed under concurrent clones:\n%s\nwant\n%s", got, want)
+	}
+	// The source still interns on its own after the clones froze its
+	// dictionary.
+	if err := tbl.Set(0, 1, Str("CIDR")); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := tbl.Get(0, 1).Text(); s != "CIDR" {
+		t.Fatalf("source venue = %q after write, want CIDR", s)
 	}
 }
 

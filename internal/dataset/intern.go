@@ -1,5 +1,7 @@
 package dataset
 
+import "sync/atomic"
+
 // interner is a per-column string dictionary: codes are assigned in
 // first-seen order, so identical insertion sequences yield identical
 // code assignments (the determinism suites depend on value bytes only,
@@ -10,6 +12,9 @@ package dataset
 type interner struct {
 	strs []string          // code → string
 	idx  map[string]uint32 // string → code
+	// frozen marks a dictionary shared by a clone: it is read-only from
+	// then on, and its holders copy it before adding a code.
+	frozen atomic.Bool
 }
 
 func newInterner() *interner {

@@ -73,11 +73,10 @@ func (m *Matcher) LabeledPairs() []Pair {
 // or 1 and destroy active learning).
 func (m *Matcher) Train(t *dataset.Table) error {
 	pairs := m.LabeledPairs()
-	var x [][]float64
+	x := m.fe.FeaturesOf(t, pairs)
 	var y []int
 	pos, neg := 0, 0
 	for _, p := range pairs {
-		x = append(x, m.fe.Features(t, p.A, p.B))
 		if m.labels[p] {
 			y = append(y, 1)
 			pos++
@@ -106,7 +105,7 @@ func (m *Matcher) Trained() bool { return m.forest != nil }
 // system's perspective. Otherwise the forest predicts; before training, a
 // similarity heuristic (mean of the string-similarity features) stands in.
 func (m *Matcher) Prob(t *dataset.Table, p Pair) float64 {
-	return m.ProbWithFeatures(p, m.fe.Features(t, p.A, p.B))
+	return m.ProbWithFeatures(p, m.Features(t, p))
 }
 
 // Features exposes the pair feature vector so callers maintaining a
@@ -114,6 +113,12 @@ func (m *Matcher) Prob(t *dataset.Table, p Pair) float64 {
 // large candidate sets) can reuse vectors across retrains.
 func (m *Matcher) Features(t *dataset.Table, p Pair) []float64 {
 	return m.fe.Features(t, p.A, p.B)
+}
+
+// FeaturesOf is Features for a batch of pairs, sharing string work
+// across the batch (see FeatureExtractor.FeaturesOf).
+func (m *Matcher) FeaturesOf(t *dataset.Table, pairs []Pair) [][]float64 {
+	return m.fe.FeaturesOf(t, pairs)
 }
 
 // ProbWithFeatures is Prob for a precomputed feature vector.

@@ -32,7 +32,9 @@ package pipeline
 // session. Every acquisition has a private-build fallback, so a build
 // error, a cold cache or Config.NoArtifactCache all degrade to exactly
 // the pre-cache behaviour — the determinism suite holds cache-on
-// sessions byte-identical to cache-off ones.
+// sessions byte-identical to cache-off ones. For emboot the fallback is
+// the same build: a session without the cache runs buildBootstrap
+// itself, and installBootstrap installs the result either way.
 
 import (
 	"fmt"
@@ -141,7 +143,7 @@ func embootKey(cfg rf.Config, keyColumns []int) string {
 
 // acquireBootstrap returns the shared bootstrap artifact, building it
 // single-flight on a cold cache; nil means the cache is off and the
-// caller must run the private bootstrapMatcher/refreshModel path.
+// caller builds the same artifact privately with buildBootstrap.
 func (s *Session) acquireBootstrap(keyColumns []int) *embootArtifact {
 	a := s.acquire(embootKey(s.cfg.RF, keyColumns), func() (artifact.Artifact, error) {
 		return s.buildBootstrap(keyColumns), nil
@@ -152,26 +154,27 @@ func (s *Session) acquireBootstrap(keyColumns []int) *embootArtifact {
 	return a.(*embootArtifact)
 }
 
-// buildBootstrap replays the candidate generation, feature extraction,
-// distant-supervision seeding and first training of the private cold
-// path (bootstrapMatcher + refreshModel's train half) on a throwaway
-// matcher, capturing the immutable results. The arithmetic must stay in
-// lockstep with bootstrapMatcher — the determinism suite compares the
-// two paths byte for byte.
+// buildBootstrap runs candidate generation, feature extraction,
+// distant-supervision seeding and the first training on a throwaway
+// matcher, capturing the immutable results for installBootstrap.
+//
+// Seeding labels the candidate pairs the similarity heuristic ranks as
+// most and least similar, gated by absolute sanity thresholds; no ground
+// truth and no user budget is consumed. Rank-based selection matters
+// because the heuristic's absolute scale shifts with the schema (a table
+// with many near-constant numeric columns floats every pair's score up).
 func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
 	const maxSeedPerClass = 30
 	cands := em.Candidates(s.table, em.BlockingConfig{KeyColumns: keyColumns})
 	m := em.NewMatcher(s.table, s.cfg.RF)
-	feats := make([][]float64, len(cands))
+	feats := m.FeaturesOf(s.table, cands)
 	type scored struct {
 		i  int
 		pr float64
 	}
 	all := make([]scored, len(cands))
 	for i, p := range cands {
-		f := m.Features(s.table, p)
-		feats[i] = f
-		all[i] = scored{i: i, pr: m.ProbWithFeatures(p, f)}
+		all[i] = scored{i: i, pr: m.ProbWithFeatures(p, feats[i])}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].pr != all[j].pr {
@@ -217,12 +220,12 @@ func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
 	}
 }
 
-// installBootstrap warm-starts the session from the shared bootstrap,
-// then runs the refreshModel tail (synonym classes, clustering, index
-// maintenance) exactly as the cold path's first refresh would with no
-// user labels. Candidate, feature and probability storage is shared
-// read-only: later refreshes replace map entries wholesale, never
-// mutating the shared slices.
+// installBootstrap starts the session from a bootstrap artifact, shared
+// or privately built, then runs the refreshModel tail (synonym classes,
+// clustering, index maintenance) as a refresh with no user labels
+// would. It is the only way a session's EM model starts. Candidate,
+// feature and probability storage may be shared read-only: later
+// refreshes replace map entries wholesale, never mutating the slices.
 func (s *Session) installBootstrap(a *embootArtifact) {
 	s.candidates = a.candidates
 	s.featCache = make(map[em.Pair][]float64, len(a.candidates))

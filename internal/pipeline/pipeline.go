@@ -403,67 +403,12 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 	s.rebuildStandardizers()
 
 	s.matcher = em.NewMatcher(s.table, cfg.RF)
-	if boot := s.acquireBootstrap(keyColumns); boot != nil {
-		s.installBootstrap(boot)
-	} else {
-		s.candidates = em.Candidates(s.table, em.BlockingConfig{KeyColumns: keyColumns})
-		s.bootstrapMatcher()
-		s.refreshModel()
+	boot := s.acquireBootstrap(keyColumns)
+	if boot == nil {
+		boot = s.buildBootstrap(keyColumns)
 	}
+	s.installBootstrap(boot)
 	return s, nil
-}
-
-// bootstrapMatcher seeds the EM model with distant-supervision pseudo-
-// labels: the candidate pairs the similarity heuristic ranks as most and
-// least similar, gated by absolute sanity thresholds. No ground truth
-// and no user budget is consumed. Rank-based selection matters because
-// the heuristic's absolute scale shifts with the schema (a table with
-// many near-constant numeric columns floats every pair's score up).
-func (s *Session) bootstrapMatcher() {
-	const maxSeedPerClass = 30
-	type scored struct {
-		p  em.Pair
-		pr float64
-	}
-	// Feature vectors are computed once here and seeded into featCache:
-	// the first refreshModel reuses them verbatim (no cells have changed
-	// yet), halving session construction's dominant cost. Bit-identical
-	// because Matcher.Prob is ProbWithFeatures over these same features.
-	if s.featCache == nil {
-		s.featCache = make(map[em.Pair][]float64, len(s.candidates))
-	}
-	all := make([]scored, 0, len(s.candidates))
-	for _, p := range s.candidates {
-		feats := s.matcher.Features(s.table, p)
-		s.featCache[p] = feats
-		all = append(all, scored{p: p, pr: s.matcher.ProbWithFeatures(p, feats)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].pr != all[j].pr {
-			return all[i].pr > all[j].pr
-		}
-		if all[i].p.A != all[j].p.A {
-			return all[i].p.A < all[j].p.A
-		}
-		return all[i].p.B < all[j].p.B
-	})
-	pos := 0
-	for _, sc := range all {
-		if pos >= maxSeedPerClass || sc.pr < 0.88 {
-			break
-		}
-		s.matcher.AddLabel(sc.p, true)
-		pos++
-	}
-	neg := 0
-	for i := len(all) - 1; i >= 0; i-- {
-		sc := all[i]
-		if neg >= maxSeedPerClass || sc.pr > 0.55 {
-			break
-		}
-		s.matcher.AddLabel(sc.p, false)
-		neg++
-	}
 }
 
 // refreshModel retrains the matcher, refreshes the probability cache,
@@ -472,17 +417,18 @@ func (s *Session) bootstrapMatcher() {
 func (s *Session) refreshModel() {
 	s.rel = nil
 	_ = s.matcher.Train(s.table) // single-class training silently keeps the heuristic
-	if s.featCache == nil {
-		s.featCache = make(map[em.Pair][]float64, len(s.candidates))
+	var stale []em.Pair
+	for _, p := range s.candidates {
+		if _, ok := s.featCache[p]; !ok || s.pairDirty(p) {
+			stale = append(stale, p)
+		}
+	}
+	for i, feats := range s.matcher.FeaturesOf(s.table, stale) {
+		s.featCache[stale[i]] = feats
 	}
 	s.probCache = make(map[em.Pair]float64, len(s.candidates))
 	for _, p := range s.candidates {
-		feats, ok := s.featCache[p]
-		if !ok || s.pairDirty(p) {
-			feats = s.matcher.Features(s.table, p)
-			s.featCache[p] = feats
-		}
-		s.probCache[p] = s.matcher.ProbWithFeatures(p, feats)
+		s.probCache[p] = s.matcher.ProbWithFeatures(p, s.featCache[p])
 	}
 	s.dirtyIDs = nil
 	if s.userLabeled {

@@ -169,9 +169,16 @@ func LevenshteinSim(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
+// LowerRunes returns the lower-cased runes of s, the form Jaro and
+// JaroWinkler compare. Callers that score one string against many
+// prepare it once and use the rune kernels.
+func LowerRunes(s string) []rune { return []rune(strings.ToLower(s)) }
+
 // Jaro computes the Jaro similarity of two strings.
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
+func Jaro(a, b string) float64 { return jaroRunes(LowerRunes(a), LowerRunes(b)) }
+
+// jaroRunes is Jaro over two LowerRunes forms.
+func jaroRunes(ra, rb []rune) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
@@ -232,8 +239,12 @@ func Jaro(a, b string) float64 {
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix,
 // with the standard scaling factor p=0.1 and prefix cap 4.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	ra, rb := []rune(strings.ToLower(a)), []rune(strings.ToLower(b))
+	return JaroWinklerRunes(LowerRunes(a), LowerRunes(b))
+}
+
+// JaroWinklerRunes is JaroWinkler over two LowerRunes forms.
+func JaroWinklerRunes(ra, rb []rune) float64 {
+	j := jaroRunes(ra, rb)
 	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: build, vet, the full test
-# suite with the race detector on, the determinism + incremental
+# suite with the race detector on, a short fuzz of the similarity
+# kernels, the determinism + incremental
 # equivalence suites (same seed, Workers=1 vs Workers=8, delta pricing
 # vs full rebuild, and incremental detection vs full detect must all be
 # byte-identical), and a one-shot benchmark smoke so the bench harness
@@ -48,6 +49,11 @@ go vet ./...
 
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+
+# A crasher lands in internal/stringsim/testdata/fuzz/ and is committed
+# as a regression input, which the plain `go test` above then replays.
+echo "== fuzz: similarity kernels vs the string-level measures (10 s)"
+go test -run '^$' -fuzz '^FuzzSimilarityKernels$' -fuzztime 10s ./internal/stringsim
 
 echo "== determinism + incremental equivalence suites (-race)"
 go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence' ./internal/pipeline/
