@@ -194,13 +194,12 @@ func BenchmarkFig18_ComponentTime(b *testing.B) {
 }
 
 // annotateSession builds one D1 session at the given scale for the
-// benefit-annotation benchmark. noInc switches off the incremental
-// delta pricer so the benchmark can compare it against full rebuilds.
-func annotateSession(b *testing.B, scale float64, workers int, noInc bool) *pipeline.Session {
+// benefit-annotation benchmark.
+func annotateSession(b *testing.B, scale float64, workers int) *pipeline.Session {
 	b.Helper()
 	d := datagen.D1(datagen.Config{Scale: scale, Seed: 1})
 	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
-	s, err := pipeline.NewSession(d.Dirty, q, d.KeyColumns, pipeline.Config{Seed: 1, Workers: workers, NoIncremental: noInc})
+	s, err := pipeline.NewSession(d.Dirty, q, d.KeyColumns, pipeline.Config{Seed: 1, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,30 +207,23 @@ func annotateSession(b *testing.B, scale float64, workers int, noInc bool) *pipe
 }
 
 // BenchmarkAnnotate isolates the benefit-model hot path — pricing every
-// edge and vertex repair of the first iteration's ERG. Sub-benchmarks
-// cover the incremental delta pricer at worker counts 1 and 8 plus a
-// FullRebuild variant (NoIncremental) that re-executes the query per
-// hypothesis the way PR 2 did — the ns/op ratio between FullRebuild and
-// Workers1 is the speedup the delta pricer buys. All variants are
-// bit-identical (cross-checked against the Workers1 edge benefits), so
-// the only difference is wall-clock. evals/op reports unique hypotheses
-// priced (memo cache misses); the pricer sits inside the memoized path,
-// so evals is the same in every variant.
+// edge and vertex repair of the first iteration's ERG — at worker counts
+// 1 and 8. Both are bit-identical (cross-checked against the Workers1
+// edge benefits), so the only difference is wall-clock. evals/op
+// reports unique hypotheses priced (memo cache misses).
 func BenchmarkAnnotate(b *testing.B) {
 	const scale = 0.05
 	var baseline []float64 // Workers=1 edge benefits, for cross-check
 	for _, v := range []struct {
 		name    string
 		workers int
-		noInc   bool
 	}{
-		{"Workers1", 1, false},
-		{"Workers8", 8, false},
-		{"FullRebuild", 1, true},
+		{"Workers1", 1},
+		{"Workers8", 8},
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			s := annotateSession(b, scale, v.workers, v.noInc)
+			s := annotateSession(b, scale, v.workers)
 			workers := v.workers
 			var evals int
 			b.ResetTimer()
@@ -268,63 +260,50 @@ func BenchmarkAnnotate(b *testing.B) {
 // BenchmarkIterationPhases runs a short cleaning session (four
 // iterations — the amortization horizon that matters, since detection
 // structures built in iteration 1 pay off in 2..n) and reports the
-// summed per-phase breakdown (Report.Timings) as custom metrics. The
-// Incremental/FullDetect sub-benchmarks differ only in the
-// NoIncrementalDetect kill switch, so their detect_µs ratio is the
-// detect-phase speedup; scripts/check.sh gates on the Incremental
-// variant's detect_µs against the recorded baseline.
+// summed per-phase breakdown (Report.Timings) as custom metrics;
+// scripts/check.sh gates on the Incremental sub-benchmark's detect_µs
+// against the recorded baseline.
 func BenchmarkIterationPhases(b *testing.B) {
 	const scale = 0.05
 	const iters = 4
 	d := datagen.D1(datagen.Config{Scale: scale, Seed: 1})
 	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
-	for _, v := range []struct {
-		name        string
-		noIncDetect bool
-	}{
-		{"Incremental", false},
-		{"FullDetect", true},
-	} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			var detect, buildERG, annotate, sel, accepts, fallbacks float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := pipeline.NewSession(d.Dirty.Clone(), q, d.KeyColumns, pipeline.Config{
-					Seed: 1, Workers: 1, NoIncrementalDetect: v.noIncDetect,
-				})
+	b.Run("Incremental", func(b *testing.B) {
+		var detect, buildERG, annotate, sel, accepts, fallbacks float64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s, err := pipeline.NewSession(d.Dirty.Clone(), q, d.KeyColumns, pipeline.Config{Seed: 1, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			user := oracle.New(d.Truth, 1)
+			detect, buildERG, annotate, sel, accepts, fallbacks = 0, 0, 0, 0, 0, 0
+			b.StartTimer()
+			for it := 0; it < iters; it++ {
+				rep, err := s.RunIteration(user)
 				if err != nil {
 					b.Fatal(err)
 				}
-				user := oracle.New(d.Truth, 1)
-				detect, buildERG, annotate, sel, accepts, fallbacks = 0, 0, 0, 0, 0, 0
-				b.StartTimer()
-				for it := 0; it < iters; it++ {
-					rep, err := s.RunIteration(user)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					detect += float64(rep.Timings.Detect.Microseconds())
-					buildERG += float64(rep.Timings.BuildERG.Microseconds())
-					annotate += float64(rep.Timings.Benefit.Microseconds())
-					sel += float64(rep.Timings.Select.Microseconds())
-					accepts += float64(rep.DetectAccepts)
-					fallbacks += float64(rep.DetectFallbacks)
-					if rep.Exhausted {
-						b.Fatal("session exhausted inside the phase benchmark")
-					}
-					b.StartTimer()
+				b.StopTimer()
+				detect += float64(rep.Timings.Detect.Microseconds())
+				buildERG += float64(rep.Timings.BuildERG.Microseconds())
+				annotate += float64(rep.Timings.Benefit.Microseconds())
+				sel += float64(rep.Timings.Select.Microseconds())
+				accepts += float64(rep.DetectAccepts)
+				fallbacks += float64(rep.DetectFallbacks)
+				if rep.Exhausted {
+					b.Fatal("session exhausted inside the phase benchmark")
 				}
+				b.StartTimer()
 			}
-			b.ReportMetric(detect, "detect_µs")
-			b.ReportMetric(buildERG, "buildERG_µs")
-			b.ReportMetric(annotate, "annotate_µs")
-			b.ReportMetric(sel, "select_µs")
-			b.ReportMetric(accepts, "accepts/op")
-			b.ReportMetric(fallbacks, "fallbacks/op")
-		})
-	}
+		}
+		b.ReportMetric(detect, "detect_µs")
+		b.ReportMetric(buildERG, "buildERG_µs")
+		b.ReportMetric(annotate, "annotate_µs")
+		b.ReportMetric(sel, "select_µs")
+		b.ReportMetric(accepts, "accepts/op")
+		b.ReportMetric(fallbacks, "fallbacks/op")
+	})
 }
 
 // BenchmarkSessionSetup measures a session's construction cost on the

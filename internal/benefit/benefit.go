@@ -9,8 +9,9 @@
 // B_M = dist^Y and B_O = dist^Y.
 //
 // The estimator is decoupled from the cleaning pipeline through the
-// Hypothetical callback: the pipeline knows how to derive the chart that
-// a hypothetical answer would produce; this package only prices it.
+// Hypothetical callback: the pipeline knows how to derive the charts
+// that a hypothetical answer would produce; this package only prices
+// them.
 package benefit
 
 import (
@@ -71,16 +72,15 @@ type Hypothesis struct {
 	Value  float64
 }
 
-// View is one visualization panel of a multi-view session: its current
-// chart and its weight in the cross-view benefit aggregation.
-type View struct {
-	Base   *vis.Data
-	Weight float64
-}
-
-// Estimator prices questions. Base is the current visualization;
-// Hypothetical derives the visualization under a hypothetical answer
-// (returning nil means the answer is inapplicable and prices as zero).
+// Estimator prices questions. Bases holds every view's current chart
+// in view registration order; Hypothetical derives every view's chart
+// under a hypothetical answer, aligned with Bases. A hypothesis prices
+// as the sum of the per-view distances Dist(Bases[i], charts[i]),
+// accumulated in registration order starting from the first term, so
+// the float sum is deterministic at every worker count and a one-view
+// estimator prices exactly Dist(Bases[0], charts[0]). A nil charts slice
+// means the answer is inapplicable and prices as zero; a nil element
+// drops only that view's term.
 //
 // Workers bounds the fan-out of Annotate: < 1 selects GOMAXPROCS, 1 is
 // strictly sequential. When Workers > 1 the Hypothetical callback must
@@ -96,22 +96,9 @@ type View struct {
 // iteration.
 type Estimator struct {
 	Dist         distance.Func
-	Base         *vis.Data
-	Hypothetical func(h Hypothesis) *vis.Data
+	Bases        []*vis.Data
+	Hypothetical func(h Hypothesis) []*vis.Data
 	Workers      int
-
-	// Views and HypotheticalAll extend the estimator to a multi-view
-	// session: when Views is non-empty, a hypothesis is priced as the
-	// weighted sum Σ_i Weight_i · Dist(Views[i].Base, charts[i]) with
-	// charts = HypotheticalAll(h), accumulated in view registration
-	// order so the float sum is deterministic at every worker count. A
-	// nil charts slice means the hypothesis is inapplicable (prices as
-	// zero, like a nil Hypothetical chart); a nil element zeroes only
-	// that view's term. Base and Hypothetical are ignored while Views is
-	// set; single-view callers leave Views nil and keep the exact
-	// historical pricing path.
-	Views           []View
-	HypotheticalAll func(h Hypothesis) []*vis.Data
 
 	// Pricer, when set, is tried before the full Hypothetical+Dist path:
 	// it returns the price of a hypothesis directly (typically via
@@ -219,25 +206,22 @@ func (e *Estimator) rawDist(h Hypothesis) float64 {
 		}
 		e.pricerMiss.Add(1)
 	}
-	if len(e.Views) > 0 {
-		charts := e.HypotheticalAll(h)
-		if charts == nil {
-			return 0
+	charts := e.Hypothetical(h)
+	total, summed := 0.0, false
+	for i, base := range e.Bases {
+		if i >= len(charts) || charts[i] == nil {
+			continue
 		}
-		total := 0.0
-		for i, v := range e.Views {
-			if i >= len(charts) || charts[i] == nil {
-				continue
-			}
-			total += v.Weight * e.Dist(v.Base, charts[i])
+		d := e.Dist(base, charts[i])
+		if summed {
+			total += d
+		} else {
+			// Start from the first term, not from 0.0: 0 + −0.0 is +0.0,
+			// so a one-view price would lose the sign of a −0.0 distance.
+			total, summed = d, true
 		}
-		return total
 	}
-	after := e.Hypothetical(h)
-	if after == nil {
-		return 0
-	}
-	return e.Dist(e.Base, after)
+	return total
 }
 
 // Evals reports the number of hypothetical visualizations actually

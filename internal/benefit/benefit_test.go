@@ -27,10 +27,10 @@ type fakeWorld struct {
 
 func (w *fakeWorld) estimator() *Estimator {
 	return &Estimator{
-		Dist: distance.EMD,
-		Base: w.base,
-		Hypothetical: func(h Hypothesis) *vis.Data {
-			return w.after[h.Kind]
+		Dist:  distance.EMD,
+		Bases: []*vis.Data{w.base},
+		Hypothetical: func(h Hypothesis) []*vis.Data {
+			return []*vis.Data{w.after[h.Kind]}
 		},
 	}
 }
@@ -93,11 +93,47 @@ func TestMAndOBenefitAreUnweighted(t *testing.T) {
 func TestNilHypotheticalPricesZero(t *testing.T) {
 	e := &Estimator{
 		Dist:         distance.EMD,
-		Base:         chart(1, 2),
-		Hypothetical: func(Hypothesis) *vis.Data { return nil },
+		Bases:        []*vis.Data{chart(1, 2)},
+		Hypothetical: func(Hypothesis) []*vis.Data { return nil },
 	}
 	if got := e.TBenefit(em.MakePair(1, 2), 0.5); got != 0 {
 		t.Fatalf("nil hypothetical priced %v", got)
+	}
+}
+
+// TestOneViewPriceKeepsNegativeZero pins where the per-view sum starts:
+// at the first term. A one-view estimator then prices exactly
+// Dist(base, chart), sign of zero included; a sum started from 0.0
+// would turn a −0.0 distance into +0.0.
+func TestOneViewPriceKeepsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	e := &Estimator{
+		Dist:         func(a, b *vis.Data) float64 { return negZero },
+		Bases:        []*vis.Data{chart(1, 2)},
+		Hypothetical: func(Hypothesis) []*vis.Data { return []*vis.Data{chart(2, 1)} },
+	}
+	if got := e.MBenefit(7, 1); math.Float64bits(got) != math.Float64bits(negZero) {
+		t.Fatalf("one-view price = %v (bits %016x), want -0 (bits %016x)",
+			got, math.Float64bits(got), math.Float64bits(negZero))
+	}
+}
+
+// TestNilViewChartDropsOnlyItsTerm: a three-view price whose middle
+// chart is nil is exactly d0 + d2.
+func TestNilViewChartDropsOnlyItsTerm(t *testing.T) {
+	bases := []*vis.Data{chart(1, 2, 3), chart(4, 4), chart(0.1, 0.7)}
+	after := []*vis.Data{chart(1, 1, 4), nil, chart(0.3, 0.3)}
+	e := &Estimator{
+		Dist:         distance.EMD,
+		Bases:        bases,
+		Hypothetical: func(Hypothesis) []*vis.Data { return after },
+	}
+	d0, d2 := distance.EMD(bases[0], after[0]), distance.EMD(bases[2], after[2])
+	if d0 == 0 || d2 == 0 {
+		t.Fatal("test setup: both distances must be non-zero")
+	}
+	if got, want := e.OBenefit(3, 9), d0+d2; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("three-view price = %v, want d0 + d2 = %v", got, want)
 	}
 }
 
@@ -105,13 +141,13 @@ func TestAnnotateFillsGraph(t *testing.T) {
 	base := chart(1, 1, 1)
 	afterAny := chart(4, 1, 1)
 	e := &Estimator{
-		Dist: distance.EMD,
-		Base: base,
-		Hypothetical: func(h Hypothesis) *vis.Data {
+		Dist:  distance.EMD,
+		Bases: []*vis.Data{base},
+		Hypothetical: func(h Hypothesis) []*vis.Data {
 			if h.Kind == TSplit {
-				return base.Clone()
+				return []*vis.Data{base.Clone()}
 			}
-			return afterAny
+			return []*vis.Data{afterAny}
 		},
 	}
 	g := erg.MustNew([]dataset.TupleID{1, 2, 3})
@@ -165,11 +201,11 @@ func TestMemoizationPricesUniqueHypothesesOnce(t *testing.T) {
 	base := chart(1, 2)
 	var calls int
 	e := &Estimator{
-		Dist: distance.EMD,
-		Base: base,
-		Hypothetical: func(h Hypothesis) *vis.Data {
+		Dist:  distance.EMD,
+		Bases: []*vis.Data{base},
+		Hypothetical: func(h Hypothesis) []*vis.Data {
 			calls++
-			return chart(3, 2)
+			return []*vis.Data{chart(3, 2)}
 		},
 	}
 	// Symmetric forms canonicalize to one memo slot: (1,2) vs (2,1)
@@ -206,11 +242,11 @@ func TestAnnotateWorkerCountInvariance(t *testing.T) {
 		base := chart(1, 1, 1, 1)
 		e := &Estimator{
 			Dist:    distance.EMD,
-			Base:    base,
+			Bases:   []*vis.Data{base},
 			Workers: workers,
-			Hypothetical: func(h Hypothesis) *vis.Data {
+			Hypothetical: func(h Hypothesis) []*vis.Data {
 				// A distinct, deterministic chart per hypothesis.
-				return chart(float64(h.Kind)+1, float64(h.ID), h.Value, float64(h.Pair.A)+float64(h.Pair.B))
+				return []*vis.Data{chart(float64(h.Kind)+1, float64(h.ID), h.Value, float64(h.Pair.A)+float64(h.Pair.B))}
 			},
 		}
 		g := erg.MustNew([]dataset.TupleID{1, 2, 3, 4, 5})

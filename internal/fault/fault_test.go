@@ -172,9 +172,9 @@ func TestParseSpec(t *testing.T) {
 		"no-equals",
 		"=error",
 		"p=frobnicate",
-		"p=delay",           // delay without duration
-		"p=delay:nonsense",  // unparsable duration
-		"p=error@every0",    // bad schedule
+		"p=delay",          // delay without duration
+		"p=delay:nonsense", // unparsable duration
+		"p=error@every0",   // bad schedule
 		"p=error@zero,calls@x",
 	}
 	for _, spec := range bad {

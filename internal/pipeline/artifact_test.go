@@ -23,7 +23,7 @@ import (
 
 // newArtSession builds the standard determinism-suite session with an
 // artifact cache wired in (nil means cache off).
-func newArtSession(t testing.TB, cache *artifact.Cache, seed int64, mod func(*Config)) (*Session, *oracle.Oracle) {
+func newArtSession(t testing.TB, cache *artifact.Cache, seed int64) (*Session, *oracle.Oracle) {
 	t.Helper()
 	d := datagen.D1(datagen.Config{Scale: 0.004, Seed: seed})
 	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
@@ -31,15 +31,11 @@ func newArtSession(t testing.TB, cache *artifact.Cache, seed int64, mod func(*Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
+	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{
 		Seed:      seed,
 		TruthVis:  truthVis,
 		Artifacts: cache,
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	s, err := NewSession(d.Dirty, q, d.KeyColumns, cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +73,7 @@ func traceSession(t testing.TB, s *Session, user User) detTrace {
 // runArtSession runs a full traced session against cache (nil = off).
 func runArtSession(t testing.TB, cache *artifact.Cache, seed int64) detTrace {
 	t.Helper()
-	s, user := newArtSession(t, cache, seed, nil)
+	s, user := newArtSession(t, cache, seed)
 	defer s.Close()
 	return traceSession(t, s, user)
 }
@@ -146,19 +142,26 @@ func TestDeterminismArtifactCacheEvictionPressure(t *testing.T) {
 	}
 }
 
-// TestDeterminismArtifactCacheKillSwitch asserts NoArtifactCache really
-// bypasses the cache: nothing is cached and the session matches the
-// cache-off baseline.
-func TestDeterminismArtifactCacheKillSwitch(t *testing.T) {
+// TestArtifactAcquireAfterClose closes a shared-cache session before its
+// first iteration, so its basevis, knn and simjoin artifacts are all
+// acquired after Close. Each such acquisition must release its handle
+// at once and still serve the artifact: the session stays byte-identical
+// to a cache-off one, and the cache is left holding no handle.
+func TestArtifactAcquireAfterClose(t *testing.T) {
 	baseline := runArtSession(t, nil, 7)
 	cache := artifact.New(0)
-	s, user := newArtSession(t, cache, 7, func(c *Config) { c.NoArtifactCache = true })
-	defer s.Close()
+	s, user := newArtSession(t, cache, 7)
+	opened := cache.Stats().Entries
+	s.Close()
 	tr := traceSession(t, s, user)
-	if st := cache.Stats(); st.Entries != 0 {
-		t.Fatalf("kill switch on, yet %d artifacts were cached", st.Entries)
+	assertTracesEqual(t, "acquired after Close vs cache-off", baseline, tr)
+	st := cache.Stats()
+	if st.Entries-opened < 3 {
+		t.Fatalf("%d artifacts acquired after Close, want at least basevis, knn and simjoin", st.Entries-opened)
 	}
-	assertTracesEqual(t, "kill switch vs cache-off", baseline, tr)
+	if st.Idle != st.Entries {
+		t.Fatalf("%d of %d cache entries still held after Close", st.Entries-st.Idle, st.Entries)
+	}
 }
 
 // TestDeterminismArtifactCacheReplay restores sessions from an answer
@@ -167,7 +170,7 @@ func TestDeterminismArtifactCacheKillSwitch(t *testing.T) {
 // the artifact path that adopts the shared raw token sets and
 // re-tokenizes exactly the rows whose canonical text moved.
 func TestDeterminismArtifactCacheReplay(t *testing.T) {
-	live, orc := newArtSession(t, nil, 5, nil)
+	live, orc := newArtSession(t, nil, 5)
 	defer live.Close()
 	for i := 0; i < 3; i++ {
 		rep, err := live.RunIteration(orc)
@@ -181,11 +184,11 @@ func TestDeterminismArtifactCacheReplay(t *testing.T) {
 	h := live.History()
 
 	cache := artifact.New(0)
-	warmup, _ := newArtSession(t, cache, 5, nil)
+	warmup, _ := newArtSession(t, cache, 5)
 	warmup.Close()
 
 	restore := func(c *artifact.Cache) detTrace {
-		s, _ := newArtSession(t, c, 5, nil)
+		s, _ := newArtSession(t, c, 5)
 		defer s.Close()
 		if err := s.Replay(h); err != nil {
 			t.Fatal(err)

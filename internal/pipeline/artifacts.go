@@ -27,14 +27,12 @@ package pipeline
 //
 // The determinism contract: every artifact is a pure function of the
 // fingerprinted table content plus the parameters its kind string
-// encodes, and strictly read-only once cached. Mutable companions (the
+// encodes, and strictly read-only once built. Mutable companions (the
 // similarity memo, the token maps a session resets) are private per
-// session. Every acquisition has a private-build fallback, so a build
-// error, a cold cache or Config.NoArtifactCache all degrade to exactly
-// the pre-cache behaviour — the determinism suite holds cache-on
-// sessions byte-identical to cache-off ones. For emboot the fallback is
-// the same build: a session without the cache runs buildBootstrap
-// itself, and installBootstrap installs the result either way.
+// session. A session without the shared cache runs the very same
+// builds for itself (see acquire), so every artifact has one
+// acquisition path and the determinism suite holds cache-on sessions
+// byte-identical to cache-off ones.
 
 import (
 	"fmt"
@@ -42,6 +40,7 @@ import (
 	"sort"
 
 	"visclean/internal/artifact"
+	"visclean/internal/dataset"
 	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
@@ -59,43 +58,44 @@ const (
 	forestNodeSize = 48
 )
 
-// artifactsOn reports whether this session reads and populates the
-// shared cache.
-func (s *Session) artifactsOn() bool { return s.fingerprint != "" }
-
 // Fingerprint returns the content hash keying this session's entries in
 // the shared artifact cache, or "" when the cache is off. The service
 // layer records it in snapshots; restore recomputes it from the rebuilt
 // table and re-acquires, so the snapshot field is informational.
 func (s *Session) Fingerprint() string { return s.fingerprint }
 
-// acquire fetches one artifact for the session's fingerprint, retaining
-// the handle until Close so the cache cannot evict it out from under the
-// session. Returns nil — private-build fallback — when the cache is off
-// or the build failed.
-func (s *Session) acquire(kind string, build func() (artifact.Artifact, error)) artifact.Artifact {
-	if !s.artifactsOn() {
-		return nil
+// acquire returns one artifact of the session. With the shared cache it
+// fetches the artifact for the session's fingerprint, building it
+// single-flight on a miss, and retains the handle until Close so the
+// cache cannot evict it out from under the session; an acquisition
+// after Close releases its handle at once and still returns the
+// artifact, which is immutable and stays valid. Without the cache it
+// runs build for this session alone. The error is build's.
+func (s *Session) acquire(kind string, build func() (artifact.Artifact, error)) (artifact.Artifact, error) {
+	if s.cfg.Artifacts == nil {
+		return build()
 	}
 	h, err := s.cfg.Artifacts.Acquire(s.fingerprint, kind, build)
 	if err != nil {
-		return nil
+		return nil, err
 	}
+	a := h.Artifact()
 	s.artMu.Lock()
-	if s.artClosed {
-		s.artMu.Unlock()
-		h.Release()
-		return nil
+	closed := s.artClosed
+	if !closed {
+		s.artHandles = append(s.artHandles, h)
 	}
-	s.artHandles = append(s.artHandles, h)
 	s.artMu.Unlock()
-	return h.Artifact()
+	if closed {
+		h.Release()
+	}
+	return a, nil
 }
 
 // Close releases the session's references into the shared artifact
 // cache. Idempotent, and safe to call while an iteration is still
 // running: a late acquisition after Close releases its handle
-// immediately and the caller falls back to a private build.
+// immediately (see acquire).
 func (s *Session) Close() {
 	s.artMu.Lock()
 	handles := s.artHandles
@@ -141,16 +141,12 @@ func embootKey(cfg rf.Config, keyColumns []int) string {
 		cfg.NumTrees, cfg.MaxDepth, cfg.MinLeaf, cfg.FeatureFrac, cfg.Seed, keyColumns)
 }
 
-// acquireBootstrap returns the shared bootstrap artifact, building it
-// single-flight on a cold cache; nil means the cache is off and the
-// caller builds the same artifact privately with buildBootstrap.
+// acquireBootstrap returns the session's bootstrap artifact, shared or
+// privately built.
 func (s *Session) acquireBootstrap(keyColumns []int) *embootArtifact {
-	a := s.acquire(embootKey(s.cfg.RF, keyColumns), func() (artifact.Artifact, error) {
+	a, _ := s.acquire(embootKey(s.cfg.RF, keyColumns), func() (artifact.Artifact, error) {
 		return s.buildBootstrap(keyColumns), nil
-	})
-	if a == nil {
-		return nil
-	}
+	}) // the build cannot fail, so neither can acquire
 	return a.(*embootArtifact)
 }
 
@@ -220,12 +216,12 @@ func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
 	}
 }
 
-// installBootstrap starts the session from a bootstrap artifact, shared
-// or privately built, then runs the refreshModel tail (synonym classes,
-// clustering, index maintenance) as a refresh with no user labels
-// would. It is the only way a session's EM model starts. Candidate,
-// feature and probability storage may be shared read-only: later
-// refreshes replace map entries wholesale, never mutating the slices.
+// installBootstrap starts the session from its bootstrap artifact, then
+// runs the refreshModel tail (synonym classes, clustering, index
+// maintenance) as a refresh with no user labels would. It is the only
+// way a session's EM model starts. Candidate, feature and probability
+// storage may be shared read-only: later refreshes replace map entries
+// wholesale, never mutating the slices.
 func (s *Session) installBootstrap(a *embootArtifact) {
 	s.candidates = a.candidates
 	s.featCache = make(map[em.Pair][]float64, len(a.candidates))
@@ -253,25 +249,22 @@ type stdArtifact struct{ base *goldenrec.Standardizer }
 func (a *stdArtifact) Bytes() int64 { return a.base.Bytes() }
 
 // baseStandardizer returns a fresh approval-free standardizer for column
-// c: a Clone of the shared frozen base when the cache is on (skipping
-// the per-refresh distinct-values scan), a private build otherwise.
+// c: a Clone of the column's frozen base, acquired on first use, so no
+// model refresh re-scans the column's distinct values.
 func (s *Session) baseStandardizer(c int) *goldenrec.Standardizer {
-	if st, ok := s.stdBase[c]; ok {
-		return st.Clone()
+	base, ok := s.stdBase[c]
+	if !ok {
+		a, _ := s.acquire(fmt.Sprintf("std:col=%d", c), func() (artifact.Artifact, error) {
+			st := goldenrec.NewStandardizer(s.table, c)
+			st.Freeze()
+			return &stdArtifact{base: st}, nil
+		}) // the build cannot fail, so neither can acquire
+		base = a.(*stdArtifact).base
+		if s.stdBase == nil {
+			s.stdBase = make(map[int]*goldenrec.Standardizer, len(s.aColumns))
+		}
+		s.stdBase[c] = base
 	}
-	a := s.acquire(fmt.Sprintf("std:col=%d", c), func() (artifact.Artifact, error) {
-		st := goldenrec.NewStandardizer(s.table, c)
-		st.Freeze()
-		return &stdArtifact{base: st}, nil
-	})
-	if a == nil {
-		return goldenrec.NewStandardizer(s.table, c)
-	}
-	base := a.(*stdArtifact).base
-	if s.stdBase == nil {
-		s.stdBase = make(map[int]*goldenrec.Standardizer, len(s.aColumns))
-	}
-	s.stdBase[c] = base
 	return base.Clone()
 }
 
@@ -288,18 +281,14 @@ func (a *simjoinArtifact) Bytes() int64 {
 	return b
 }
 
-// simIndexFor returns a per-session similarity join for column col,
-// sharing the precomputed pairs through the cache when possible. The
-// clone carries a private memo; the join result itself is a pure
-// function of the column's distinct values, which repairs never touch
-// (only yCol is ever rewritten).
+// simIndexFor returns a per-session similarity join for column col over
+// the acquired precomputed pairs. The clone carries a private memo; the
+// join result itself is a pure function of the column's distinct
+// values, which repairs never touch (only yCol is ever rewritten).
 func (s *Session) simIndexFor(col int, threshold float64) *goldenrec.SimIndex {
-	a := s.acquire(fmt.Sprintf("simjoin:col=%d:th=%g", col, threshold), func() (artifact.Artifact, error) {
+	a, _ := s.acquire(fmt.Sprintf("simjoin:col=%d:th=%g", col, threshold), func() (artifact.Artifact, error) {
 		return &simjoinArtifact{ix: goldenrec.NewSimIndex(s.table, col, threshold)}, nil
-	})
-	if a == nil {
-		return goldenrec.NewSimIndex(s.table, col, threshold)
-	}
+	}) // the build cannot fail, so neither can acquire
 	return a.(*simjoinArtifact).ix.CloneShared()
 }
 
@@ -327,18 +316,14 @@ func newKnnArtifact(ix *knn.Index) *knnArtifact {
 
 func (a *knnArtifact) Bytes() int64 { return a.bytes }
 
-// knnFromArtifact installs the session's kNN index from the shared raw
-// token sets, re-tokenizing exactly the rows whose canonical text
+// knnFromArtifact installs the session's kNN index from the acquired
+// raw token sets, re-tokenizing exactly the rows whose canonical text
 // differs from the raw rendering — none in a fresh session; after a
-// snapshot restore, the rows touched by replayed approvals. Returns
-// false (private-build fallback) when the cache is off.
-func (s *Session) knnFromArtifact() bool {
-	a := s.acquire(fmt.Sprintf("knn:skip=%d", s.yCol), func() (artifact.Artifact, error) {
+// snapshot restore, the rows touched by replayed approvals.
+func (s *Session) knnFromArtifact() {
+	a, _ := s.acquire(fmt.Sprintf("knn:skip=%d", s.yCol), func() (artifact.Artifact, error) {
 		return newKnnArtifact(knn.NewIndex(s.table, s.yCol)), nil
-	})
-	if a == nil {
-		return false
-	}
+	}) // the build cannot fail, so neither can acquire
 	s.knnIndex = knn.NewIndexFromTokens(s.table, s.yCol, s.knnCanon, a.(*knnArtifact).tokens)
 	s.snapshotCanon()
 	var rows []int
@@ -353,7 +338,6 @@ func (s *Session) knnFromArtifact() bool {
 		sort.Ints(rows)
 		s.knnIndex.ResetRows(dedupSortedInts(rows))
 	}
-	return true
 }
 
 // ---- basevis ----
@@ -383,31 +367,29 @@ func (s *Session) pristine() bool {
 		len(s.answeredM) == 0 && len(s.answeredO) == 0
 }
 
-// pristineVisView serves view v's shared initial chart while the
-// session is pristine; nil sends the caller down the private build path.
-// Each view has its own cache slot, keyed by the view's query string on
-// top of the table fingerprint, so concurrent sessions over the same
-// data share per-view charts and baselines independently of which other
-// views they carry.
-func (s *Session) pristineVisView(v int) *vis.Data {
-	if !s.pristine() {
-		return nil
-	}
+// pristineVisView returns view v's initial chart; relCharts asks for it
+// only while the session is pristine. Each view has its own cache slot,
+// keyed by the view's query string on top of the table fingerprint, so
+// concurrent sessions over the same data share per-view charts and
+// baselines independently of which other views they carry. A build
+// executes the query over rel(), the pristine cleaned relation, which
+// the caller materializes at most once for all its views.
+func (s *Session) pristineVisView(v int, rel func() *dataset.Table) (*vis.Data, error) {
 	if s.basevis[v] == nil {
 		q := s.queries[v]
-		a := s.acquire("basevis:q="+q.String(), func() (artifact.Artifact, error) {
-			d, err := q.Execute(s.relTable())
+		a, err := s.acquire("basevis:q="+q.String(), func() (artifact.Artifact, error) {
+			d, err := q.Execute(rel())
 			if err != nil {
 				return nil, err
 			}
 			return &basevisArtifact{vis: d, baseline: distance.NewBaseline(distance.Default, d)}, nil
 		})
-		if a == nil {
-			return nil
+		if err != nil {
+			return nil, err
 		}
 		s.basevis[v] = a.(*basevisArtifact)
 	}
-	return s.basevis[v].vis
+	return s.basevis[v].vis, nil
 }
 
 // baselineFor returns the distance baseline of one iteration's base

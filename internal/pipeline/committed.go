@@ -18,9 +18,10 @@ import (
 // service's cached state, the distance to truth, the next iteration's
 // before charts and the delta pricer's base rows.
 //
-// Each part fills on first use. A pristine session serves its charts
-// from the shared artifact cache and builds rows only when the pricer
-// first needs them; baselines are built by the first pricer.
+// Each part fills on first use. A pristine session takes its charts
+// from the basevis artifacts, so on a warm cache it builds rows only
+// when the pricer first needs them; baselines are built by the first
+// pricer.
 type committedRel struct {
 	groups [][]dataset.TupleID // clusters.Groups(1)
 	rows   [][]dataset.Value   // rows[gi]: group gi's view row, nil when it yields none; nil until built
@@ -75,27 +76,25 @@ func (s *Session) relCharts() ([]*vis.Data, error) {
 	if r.charts != nil {
 		return r.charts, nil
 	}
-	charts := make([]*vis.Data, len(s.queries))
-	if s.pristine() {
-		served := true
-		for v := range s.queries {
-			if charts[v] = s.pristineVisView(v); charts[v] == nil {
-				served = false
-				break
-			}
+	var view *dataset.Table
+	table := func() *dataset.Table {
+		if view == nil {
+			view = s.relTable()
 		}
-		if served {
-			r.charts = charts
-			return charts, nil
-		}
+		return view
 	}
-	view := s.relTable()
+	pristine := s.pristine()
+	charts := make([]*vis.Data, len(s.queries))
 	for v, q := range s.queries {
-		d, err := q.Execute(view)
+		var err error
+		if pristine {
+			charts[v], err = s.pristineVisView(v, table)
+		} else {
+			charts[v], err = q.Execute(table())
+		}
 		if err != nil {
 			return nil, err
 		}
-		charts[v] = d
 	}
 	r.charts = charts
 	return charts, nil

@@ -358,11 +358,11 @@ func changeCols(changes []stdChange) []int {
 }
 
 // eval materializes one hypothesis's delta into every view's chart and
-// returns its (weighted) distance from the base. Dissolved base groups
-// give way to the regrouped member lists, whose rows consolidate in
-// full. Retouched base groups keep their members, so their committed
-// row is reused with only cols re-resolved under std and ov — a group
-// with no committed row still has none.
+// returns the sum of the views' distances from their bases. Dissolved
+// base groups give way to the regrouped member lists, whose rows
+// consolidate in full. Retouched base groups keep their members, so
+// their committed row is reused with only cols re-resolved under std
+// and ov — a group with no committed row still has none.
 func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retouched, cols []int, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) (float64, bool) {
 	ranks := make([]int64, 0, len(dissolved)+len(retouched))
 	added := make([]vql.IncRow, 0, len(regrouped)+len(retouched))
@@ -388,15 +388,10 @@ func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retou
 		}
 	}
 	sort.Slice(added, func(a, b int) bool { return added[a].Rank < added[b].Rank })
-	if len(p.execs) == 1 {
-		// Single view: the historical scalar path, kept separate so the
-		// N=1 session stays bit-identical even against a Dist that
-		// returns -0.0 (0 + -0.0 would flip the sign bit).
-		return p.bases[0].Distance(p.execs[0].Eval(ranks, added)), true
-	}
-	total := 0.0
-	for v := range p.execs {
-		total += p.s.viewWeights[v] * p.bases[v].Distance(p.execs[v].Eval(ranks, added))
+	// The estimator's sum: registration order, from the first term.
+	total := p.bases[0].Distance(p.execs[0].Eval(ranks, added))
+	for v := 1; v < len(p.execs); v++ {
+		total += p.bases[v].Distance(p.execs[v].Eval(ranks, added))
 	}
 	return total, true
 }

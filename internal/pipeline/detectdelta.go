@@ -7,13 +7,13 @@ package pipeline
 // every iteration even though a composite question repairs only a
 // handful of cells.
 //
-// The contract mirrors the deltaPricer's exactly:
+// The contract mirrors the deltaPricer's:
 //
 //   - bit-identical results: every question a maintained structure
-//     serves is the very value the full rebuild would produce (exact
-//     float equality), enforced by the detect-equivalence suite;
-//   - a Config.NoIncrementalDetect kill switch restores the full
-//     rebuild everywhere;
+//     serves is the very value the from-scratch detectors
+//     (goldenrec.Candidates, impute.NewWithIndex) would produce (exact
+//     float equality), enforced by the detect-equivalence suite, which
+//     holds them against each other through questionsFrom;
 //   - automatic fallback on any maintenance miss: a tuple whose cached
 //     neighbour list was invalidated (or never built) is recomputed
 //     from the live index, and an eligibility revocation — which the
@@ -70,14 +70,10 @@ type detectStats struct {
 	// (first sight or maintenance miss).
 	accepts   int
 	fallbacks int
-	// full marks an iteration that ran the full detect path
-	// (Config.NoIncrementalDetect).
-	full bool
 }
 
 // detectDelta owns the incrementally maintained detection state of one
-// session. Created lazily on the first detect of a session with
-// incremental detection enabled.
+// session. Created lazily on the session's first detect.
 type detectDelta struct {
 	s *Session
 
@@ -100,12 +96,8 @@ type detectDelta struct {
 	fallbacks int
 }
 
-// detector returns the session's incremental detection state, or nil
-// when the kill switch is on.
+// detector returns the session's incremental detection state.
 func (s *Session) detector() *detectDelta {
-	if s.cfg.NoIncrementalDetect {
-		return nil
-	}
 	if s.detect == nil {
 		s.detect = &detectDelta{
 			s:      s,
@@ -268,15 +260,10 @@ func dedupSortedInts(xs []int) []int {
 	return out
 }
 
-// suggestFor serves one kNN repair suggestion with the session's
-// neighbourhood size, from the cache when a valid list exists.
-func (d *detectDelta) suggestFor(id dataset.TupleID) (impute.Suggestion, bool) {
-	return d.suggestForK(id, d.s.cfg.ImputeK)
-}
-
-// suggestForK is suggestFor at an explicit neighbourhood size; sizes
-// other than the session default bypass the cache (they occur only on
-// degenerate tables where the outlier detector clamps k below ImputeK).
+// suggestForK serves one kNN repair suggestion over a neighbourhood of
+// k, from the cache when a valid list exists. Sizes other than the
+// session's ImputeK bypass the cache (they occur only on degenerate
+// tables where the outlier detector clamps k below ImputeK).
 func (d *detectDelta) suggestForK(id dataset.TupleID, k int) (impute.Suggestion, bool) {
 	row, ok := d.s.table.RowIndex(id)
 	if !ok {

@@ -1,14 +1,13 @@
 package pipeline
 
-// The detect-equivalence suite: the incremental detection path
-// (detectdelta.go) must produce bit-identical question sets to the full
-// rebuild, every iteration, under every selector and worker count —
-// the same contract incremental_test.go enforces for benefit pricing.
-// Alongside it live the regression tests for the three detect-phase
-// bugs this change fixed: detection mutating session state (the O
-// re-ask delete), the kNN index never seeing A-merge repairs, and
-// medianScore returning the upper middle element of a truncated score
-// list.
+// The detect-equivalence suite: the maintained detection structures
+// (detectdelta.go) must serve bit-identical question sets to the
+// from-scratch detectors, every iteration, under every selector and
+// worker count — the same contract incremental_test.go enforces for
+// benefit pricing. Alongside it live the regression tests for three
+// detect-phase bugs: detection mutating session state (the O re-ask
+// delete), the kNN index never seeing A-merge repairs, and medianScore
+// returning the upper middle element of a truncated score list.
 
 import (
 	"context"
@@ -21,6 +20,7 @@ import (
 
 	"visclean/internal/datagen"
 	"visclean/internal/dataset"
+	"visclean/internal/goldenrec"
 	"visclean/internal/impute"
 	"visclean/internal/knn"
 	"visclean/internal/outlier"
@@ -67,84 +67,48 @@ func assertQuestionSetsEqual(t *testing.T, label string, a, b questionSet) {
 	}
 }
 
-// runDetectEquivLockstep drives an incremental and a full-detect session
-// in lockstep: before each iteration both detect (legal now that
-// detection is pure) and the question sets and resulting ERGs are
-// compared exactly; then both run the iteration for real and their
-// reports, histories and final visualizations must match byte for byte.
-func runDetectEquivLockstep(t *testing.T, sel SelectorKind, seed int64, workers int) {
-	t.Helper()
-	sInc, uInc := newDetSession(t, sel, seed, workers)
-	sFull, uFull := newDetSession(t, sel, seed, workers)
-	sFull.cfg.NoIncrementalDetect = true
+// referenceQuestions selects the question set from the from-scratch
+// detectors — goldenrec.Candidates for Q_A, a fresh kNN imputer over the
+// live token index for Q_M and Q_O — through the same selection logic
+// detectQuestions applies to the maintained ones.
+func referenceQuestions(s *Session) questionSet {
+	ix := s.knnIdx()
+	return s.questionsFrom(
+		func(groups [][]dataset.TupleID, col int, threshold float64) []goldenrec.Candidate {
+			return goldenrec.Candidates(s.table, groups, col, threshold)
+		},
+		func(id dataset.TupleID, k int) (impute.Suggestion, bool) {
+			return impute.NewWithIndex(ix, k).SuggestFor(id)
+		})
+}
 
+// runDetectEquivalence drives one session and, before each iteration,
+// requires the maintained detectors' question set to equal the
+// reference detectors' field by field. Detection is pure, so both run
+// on the live session without perturbing its course.
+func runDetectEquivalence(t *testing.T, sel SelectorKind, seed int64, workers int) {
+	t.Helper()
+	s, user := newDetSession(t, sel, seed, workers)
 	for iter := 0; iter < 4; iter++ {
 		label := fmt.Sprintf("%s/seed%d/w%d iter %d", sel, seed, workers, iter+1)
-		qsInc := sInc.detectQuestions()
-		qsFull := sFull.detectQuestions()
-		assertQuestionSetsEqual(t, label, qsInc, qsFull)
-		if fi, ff := sInc.buildERG(qsInc).Fingerprint(), sFull.buildERG(qsFull).Fingerprint(); fi != ff {
-			t.Fatalf("%s: ERG fingerprints differ: %016x vs %016x", label, fi, ff)
+		assertQuestionSetsEqual(t, label, s.detectQuestions(), referenceQuestions(s))
+		rep, err := s.RunIteration(user)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
-
-		repInc, errInc := sInc.RunIteration(uInc)
-		repFull, errFull := sFull.RunIteration(uFull)
-		if errInc != nil || errFull != nil {
-			t.Fatalf("%s: iteration errors: inc %v, full %v", label, errInc, errFull)
-		}
-		if repInc.DetectFull {
-			t.Errorf("%s: incremental session reported a full detect", label)
-		}
-		if !repFull.DetectFull {
-			t.Errorf("%s: kill switch did not force the full detect path", label)
-		}
-		if repInc.Exhausted != repFull.Exhausted {
-			t.Fatalf("%s: exhaustion differs: %v vs %v", label, repInc.Exhausted, repFull.Exhausted)
-		}
-		if repInc.Exhausted {
+		if rep.Exhausted {
 			break
 		}
-		if repInc.Questions() != repFull.Questions() {
-			t.Errorf("%s: question counts differ: %d vs %d", label, repInc.Questions(), repFull.Questions())
-		}
-		if repInc.EstimatedBenefit != repFull.EstimatedBenefit {
-			t.Errorf("%s: benefits differ: %v vs %v", label, repInc.EstimatedBenefit, repFull.EstimatedBenefit)
-		}
-		if fmt.Sprint(repInc.CQGMembers) != fmt.Sprint(repFull.CQGMembers) {
-			t.Errorf("%s: CQGs differ: %v vs %v", label, repInc.CQGMembers, repFull.CQGMembers)
-		}
 	}
-
-	hInc, err := json.Marshal(sInc.History())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hFull, err := json.Marshal(sFull.History())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(hInc) != string(hFull) {
-		t.Errorf("answer logs differ:\n%s\nvs\n%s", hInc, hFull)
-	}
-	vInc, errInc := sInc.CurrentVis()
-	vFull, errFull := sFull.CurrentVis()
-	if (errInc == nil) != (errFull == nil) {
-		t.Fatalf("final vis errors diverge: %v vs %v", errInc, errFull)
-	}
-	if errInc == nil && fmt.Sprintf("%+v", vInc) != fmt.Sprintf("%+v", vFull) {
-		t.Errorf("final visualizations differ:\n%+v\nvs\n%+v", vInc, vFull)
-	}
-	if sInc.detect == nil || sInc.detect.accepts+sInc.detect.fallbacks == 0 {
-		t.Error("incremental detect state never engaged")
-	}
-	if sFull.detect != nil {
-		t.Error("kill switch session built incremental detect state")
+	if s.detect.accepts == 0 || s.detect.fallbacks == 0 {
+		t.Errorf("maintained neighbour cache not exercised: %d accepts, %d fallbacks",
+			s.detect.accepts, s.detect.fallbacks)
 	}
 }
 
 // TestDetectEquivalencePerIteration is the detect twin of
 // TestIncrementalFullSessionEquivalence: every selector × seed × worker
-// combination must produce identical question sets from both paths at
+// combination must produce identical question sets from both sources at
 // every iteration. scripts/check.sh runs this under -race with obs on.
 func TestDetectEquivalencePerIteration(t *testing.T) {
 	for _, sel := range []SelectorKind{SelectGSS, SelectGSSPlus, SelectBB} {
@@ -152,7 +116,7 @@ func TestDetectEquivalencePerIteration(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/seed%d/workers%d", sel, seed, workers), func(t *testing.T) {
 					t.Parallel()
-					runDetectEquivLockstep(t, sel, seed, workers)
+					runDetectEquivalence(t, sel, seed, workers)
 				})
 			}
 		}

@@ -109,7 +109,7 @@ func assertTracesEqual(t *testing.T, label string, a, b detTrace) {
 	}
 }
 
-var detSelectors = []SelectorKind{SelectGSS, SelectGSSPlus, SelectBB, SelectRandom}
+var detSelectors = []SelectorKind{SelectGSS, SelectGSSPlus, SelectBB, SelectRandom, SelectSingle}
 
 // TestDeterminismSameSeedSameSession runs every selector twice with the
 // same seed and asserts byte-identical traces. This is the regression

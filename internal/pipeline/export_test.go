@@ -45,21 +45,19 @@ func PriceEveryHypothesis(s *Session) (priced, declined int, err error) {
 }
 
 // fullPrice is the estimator's full-rebuild price of one hypothesis:
-// the primary view's distance, or the registration-ordered weighted sum
-// over every view.
+// the per-view distances of the hypothetical charts, summed in
+// registration order from the first term.
 func fullPrice(s *Session, h benefit.Hypothesis, bases []*vis.Data) float64 {
-	if len(s.queries) == 1 {
-		after := s.hypotheticalVis(h)
-		if after == nil {
-			return 0
+	total, summed := 0.0, false
+	for v, d := range s.hypotheticalVis(h) {
+		if d == nil {
+			continue
 		}
-		return s.cfg.Dist(bases[0], after)
-	}
-	charts := s.hypotheticalVisAll(h)
-	total := 0.0
-	for v, d := range charts {
-		if d != nil {
-			total += s.viewWeights[v] * s.cfg.Dist(bases[v], d)
+		dist := s.cfg.Dist(bases[v], d)
+		if summed {
+			total += dist
+		} else {
+			total, summed = dist, true
 		}
 	}
 	return total

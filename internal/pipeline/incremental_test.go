@@ -4,28 +4,32 @@ package pipeline
 // is that it is a pure optimization: for every hypothesis it either
 // returns the exact float the full rebuild path would (bit-identical,
 // not approximately equal), or declines so the estimator falls back.
-// These tests enforce the contract end-to-end: whole sessions with the
-// pricer on vs off must produce byte-identical traces across selectors,
-// seeds, and worker counts. The per-hypothesis half of the suite
-// (every priced hypothesis, both ways, over five workloads at advancing
-// session states) is TestIncrementalPricingBitIdentical in
-// pricing_test.go. scripts/check.sh runs both under -race alongside the
-// determinism suite.
+// These tests hold the pricer to the full rebuild at every state whole
+// sessions reach, across selectors and seeds: before each iteration,
+// PriceEveryHypothesis prices every hypothesis of the session's current
+// ERG both ways. TestIncrementalPricingBitIdentical in pricing_test.go
+// does the same over five workloads. Worker-count invariance is the
+// determinism suite's job. scripts/check.sh runs these under -race
+// alongside it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
-
-	"visclean/internal/oracle"
 )
 
-// runIncSession is runDetSession with the incremental pricer toggled.
-func runIncSession(t testing.TB, selector SelectorKind, seed int64, workers int, noInc bool) detTrace {
+// checkPricingAlongSession runs a seeded session for up to four
+// iterations and, before each, requires every hypothesis the pricer
+// accepts to carry the full rebuild's exact bits.
+func checkPricingAlongSession(t *testing.T, selector SelectorKind, seed int64) {
 	t.Helper()
-	s, user := newIncSession(t, selector, seed, workers, noInc)
-	var tr detTrace
+	s, user := newDetSession(t, selector, seed, 1)
+	priced := 0
 	for i := 0; i < 4; i++ {
+		p, _, err := PriceEveryHypothesis(s)
+		if err != nil {
+			t.Fatalf("%s seed %d iteration %d: %v", selector, seed, i+1, err)
+		}
+		priced += p
 		rep, err := s.RunIteration(user)
 		if err != nil {
 			t.Fatal(err)
@@ -33,53 +37,29 @@ func runIncSession(t testing.TB, selector SelectorKind, seed int64, workers int,
 		if rep.Exhausted {
 			break
 		}
-		tr.CQGs = append(tr.CQGs, rep.CQGMembers)
-		tr.Benefits = append(tr.Benefits, rep.EstimatedBenefit)
-		tr.Evals = append(tr.Evals, rep.BenefitEvals)
-		tr.Questions = append(tr.Questions, rep.Questions())
 	}
-	h, err := json.Marshal(s.History())
-	if err != nil {
-		t.Fatal(err)
+	if priced == 0 {
+		t.Fatalf("%s seed %d: the delta pricer accepted no hypotheses", selector, seed)
 	}
-	tr.History = h
-	if v, err := s.CurrentVis(); err == nil {
-		tr.FinalVis = fmt.Sprintf("%+v", v)
-	}
-	return tr
 }
 
-func newIncSession(t testing.TB, selector SelectorKind, seed int64, workers int, noInc bool) (*Session, *oracle.Oracle) {
-	t.Helper()
-	s, user := newDetSession(t, selector, seed, workers)
-	s.cfg.NoIncremental = noInc
-	return s, user
-}
-
-// TestIncrementalFullSessionEquivalence runs whole sessions with the
-// pricer on vs off — across GSS, GSS+ and B&B, two seeds, and worker
-// counts 1 and 8 — and asserts byte-identical answer logs, CQG vertex
-// sets, benefits and final charts.
+// TestIncrementalFullSessionEquivalence holds the pricer to the full
+// rebuild along whole GSS, GSS+ and B&B sessions at two seeds.
 func TestIncrementalFullSessionEquivalence(t *testing.T) {
 	for _, sel := range []SelectorKind{SelectGSS, SelectGSSPlus, SelectBB} {
 		for _, seed := range []int64{7, 13} {
 			sel, seed := sel, seed
 			t.Run(fmt.Sprintf("%s/seed%d", sel, seed), func(t *testing.T) {
 				t.Parallel()
-				full := runIncSession(t, sel, seed, 1, true)
-				inc := runIncSession(t, sel, seed, 1, false)
-				assertTracesEqual(t, fmt.Sprintf("%s seed %d incremental vs full", sel, seed), full, inc)
-				incPar := runIncSession(t, sel, seed, 8, false)
-				assertTracesEqual(t, fmt.Sprintf("%s seed %d incremental workers 8 vs full workers 1", sel, seed), full, incPar)
+				checkPricingAlongSession(t, sel, seed)
 			})
 		}
 	}
 }
 
-// TestIncrementalSingleBaseline covers the Single baseline's sequential
-// estimator, which wires the pricer through a separate code path.
+// TestIncrementalSingleBaseline does the same along the Single
+// baseline's session, whose trajectory differs from every CQG
+// selector's.
 func TestIncrementalSingleBaseline(t *testing.T) {
-	full := runIncSession(t, SelectSingle, 7, 1, true)
-	inc := runIncSession(t, SelectSingle, 7, 1, false)
-	assertTracesEqual(t, "Single incremental vs full", full, inc)
+	checkPricingAlongSession(t, SelectSingle, 7)
 }

@@ -67,7 +67,6 @@ func (s *Session) RunIterationCtx(ctx context.Context, user User) (Report, error
 	rep.Timings.Detect = time.Since(start)
 	rep.DetectAccepts = s.lastDetect.accepts
 	rep.DetectFallbacks = s.lastDetect.fallbacks
-	rep.DetectFull = s.lastDetect.full
 
 	if s.cfg.Selector == SelectSingle {
 		if err := s.runSingleIteration(ctx, user, qs, beforeAll, &rep); err != nil {
@@ -138,26 +137,34 @@ func (s *Session) Run(user User, budget int) ([]Report, error) {
 // Detection is pure: it reads session state but never mutates it, so a
 // crash or cancellation between detect and commit leaves nothing to
 // diverge on replay, and calling it repeatedly (equivalence suites,
-// BuildAnnotatedERG) is side-effect-free. The incremental path (see
-// detectdelta.go) serves the same questions from maintained structures;
-// Config.NoIncrementalDetect restores the full per-iteration rebuild.
+// BuildAnnotatedERG) is side-effect-free. It brings the maintained
+// detection structures up to date (see detectdelta.go) and serves the
+// questions from them.
 func (s *Session) detectQuestions() questionSet {
-	var qs questionSet
 	s.lastDetect = detectStats{}
+	d := s.detector()
+	d.sync(s.knnIdx())
+	return s.questionsFrom(d.aCandidates, d.suggestForK)
+}
+
+// questionsFrom assembles the question set from two detector sources:
+// aCands lists one A-column's Algorithm 1 candidates over the current
+// clusters, and suggest computes one tuple's kNN repair over a
+// neighbourhood of k. Everything else — the caps, the answered sets, the
+// SameClass gate and the outlier gate — is selection logic applied here,
+// so the equivalence suite can hold the maintained sources against the
+// from-scratch detectors (goldenrec.Candidates, impute.NewWithIndex)
+// through the same selection.
+func (s *Session) questionsFrom(
+	aCands func(groups [][]dataset.TupleID, col int, threshold float64) []goldenrec.Candidate,
+	suggest func(id dataset.TupleID, k int) (impute.Suggestion, bool),
+) questionSet {
+	var qs questionSet
 
 	// Q_T: uncertain candidate pairs (active learning, §IV) — pairs with
 	// probability close to 0.5. Uses the probability cache refreshed at
 	// the last retrain instead of re-running the forest.
 	qs.T = s.uncertainPairs(s.cfg.MaxT, 0.15, 0.9)
-
-	d := s.detector()
-	if d == nil {
-		s.lastDetect.full = true
-	}
-	ix := s.knnIdx()
-	if d != nil {
-		d.sync(ix)
-	}
 
 	// Q_A: Algorithm 1 over the current clusters, per A-column.
 	// Singleton clusters participate too: Strategy 2's cross-cluster
@@ -168,13 +175,7 @@ func (s *Session) detectQuestions() questionSet {
 	for _, c := range s.aColumns {
 		name := schema[c].Name
 		st := s.std[name]
-		var cands []goldenrec.Candidate
-		if d != nil {
-			cands = d.aCandidates(groups, c, s.cfg.SimJoinThreshold)
-		} else {
-			cands = goldenrec.Candidates(s.table, groups, c, s.cfg.SimJoinThreshold)
-		}
-		for _, cand := range cands {
+		for _, cand := range aCands(groups, c, s.cfg.SimJoinThreshold) {
 			if len(qs.A) >= s.cfg.MaxA {
 				break
 			}
@@ -195,15 +196,7 @@ func (s *Session) detectQuestions() questionSet {
 	}
 
 	// Q_M: kNN imputation suggestions for missing measure cells. The
-	// token index is shared with the outlier repairer below and cached
-	// for the session; the incremental path additionally caches each
-	// tuple's ranked neighbour list across iterations.
-	var suggest func(id dataset.TupleID) (impute.Suggestion, bool)
-	if d != nil {
-		suggest = d.suggestFor
-	} else {
-		suggest = impute.NewWithIndex(ix, s.cfg.ImputeK).SuggestFor
-	}
+	// token index is shared with the outlier repairer below.
 	for _, id := range s.table.MissingIDs(s.yCol) {
 		if len(qs.M) >= s.cfg.MaxM {
 			break
@@ -211,7 +204,7 @@ func (s *Session) detectQuestions() questionSet {
 		if _, done := s.answeredM[id]; done {
 			continue
 		}
-		if sug, ok := suggest(id); ok {
+		if sug, ok := suggest(id, s.cfg.ImputeK); ok {
 			qs.M = append(qs.M, sug)
 		}
 	}
@@ -227,18 +220,9 @@ func (s *Session) detectQuestions() questionSet {
 	if len(dets) > 0 && kRep >= len(dets) {
 		kRep = len(dets) - 1
 	}
-	oSuggest := suggest
-	if kRep != s.cfg.ImputeK {
-		if d != nil {
-			oSuggest = func(id dataset.TupleID) (impute.Suggestion, bool) {
-				return d.suggestForK(id, kRep)
-			}
-		} else {
-			imO := impute.NewWithIndex(ix, kRep)
-			oSuggest = imO.SuggestFor
-		}
-	}
-	qs.O = pickOQuestions(dets, med, s.answeredO, s.cfg.MaxO, oSuggest)
+	qs.O = pickOQuestions(dets, med, s.answeredO, s.cfg.MaxO, func(id dataset.TupleID) (impute.Suggestion, bool) {
+		return suggest(id, kRep)
+	})
 	return qs
 }
 
@@ -351,26 +335,10 @@ func (s *Session) buildERG(qs questionSet) *erg.Graph {
 	// A-questions attach to tuple pairs exhibiting the two values. Prefer
 	// a blocking candidate pair (Definition 2.1 puts p^t and p^a on the
 	// same edge, which is also what lets GSS grow CQGs mixing both
-	// question kinds); fall back to representative tuples. The
-	// incremental path answers the lookup from the static candidate
-	// index (candidate pairs and attribute cells never change) instead
-	// of re-scanning the candidate list.
-	var pairByValues map[avKey]em.Pair
-	if d := s.detector(); d != nil {
-		cidx := d.candidateIndex()
-		pairByValues = make(map[avKey]em.Pair, len(qs.A))
-		for _, q := range qs.A {
-			key := aValueKey(q.col, q.v1, q.v2)
-			if _, dup := pairByValues[key]; dup {
-				continue
-			}
-			if p, ok := cidx.PairForValues(q.col, q.v1, q.v2); ok {
-				pairByValues[key] = p
-			}
-		}
-	} else {
-		pairByValues = s.candidatePairsByValues(qs.A)
-	}
+	// question kinds), looked up in the static candidate index
+	// (candidate pairs and attribute cells never change); fall back to
+	// representative tuples.
+	cidx := s.detector().candidateIndex()
 	type aPlace struct {
 		q    aQuestion
 		a, b dataset.TupleID
@@ -379,7 +347,7 @@ func (s *Session) buildERG(qs questionSet) *erg.Graph {
 	var placed []aPlace
 	for _, q := range qs.A {
 		p := aPlace{q: q}
-		if cand, ok := pairByValues[aValueKey(q.col, q.v1, q.v2)]; ok {
+		if cand, ok := cidx.PairForValues(q.col, q.v1, q.v2); ok {
 			p.a, p.b, p.ok = cand.A, cand.B, true
 		} else {
 			a, okA := s.firstTupleWith(q.col, q.v1)
@@ -489,7 +457,7 @@ func (s *Session) buildERG(qs questionSet) *erg.Graph {
 
 // connectIsolated gives edge-less repair vertices a way into a CQG.
 func (s *Session) connectIsolated(g *erg.Graph, qs questionSet) {
-	d := s.detector()
+	cidx := s.detector().candidateIndex()
 	neighborOf := map[dataset.TupleID][]dataset.TupleID{}
 	for _, m := range qs.M {
 		neighborOf[m.ID] = m.Neighbors
@@ -498,20 +466,11 @@ func (s *Session) connectIsolated(g *erg.Graph, qs questionSet) {
 		if len(g.IncidentEdges(r.ID)) > 0 {
 			continue
 		}
-		// Best blocking candidate touching this vertex. The incremental
-		// path walks only the candidates incident to the vertex (same
-		// elements in the same candidate-list order); the full path
-		// scans the whole list.
-		touching := s.candidates
-		if d != nil {
-			touching = d.candidateIndex().Incident(r.ID)
-		}
+		// Best blocking candidate touching this vertex, walking only the
+		// candidates incident to it, in candidate-list order.
 		bestPair := em.Pair{}
 		bestProb := -1.0
-		for _, p := range touching {
-			if p.A != r.ID && p.B != r.ID {
-				continue
-			}
+		for _, p := range cidx.Incident(r.ID) {
 			other := p.A
 			if other == r.ID {
 				other = p.B
@@ -568,54 +527,6 @@ func (s *Session) attachAQuestion(e *erg.Edge) {
 	}
 }
 
-// avKey identifies an unordered value pair within one column.
-type avKey struct {
-	col    int
-	v1, v2 string
-}
-
-func aValueKey(col int, v1, v2 string) avKey {
-	if v1 > v2 {
-		v1, v2 = v2, v1
-	}
-	return avKey{col: col, v1: v1, v2: v2}
-}
-
-// candidatePairsByValues finds, for each A-question's value pair, a
-// blocking candidate tuple pair exhibiting those values — the natural
-// edge to hang the A-question on. Deterministic: candidates are sorted.
-func (s *Session) candidatePairsByValues(qs []aQuestion) map[avKey]em.Pair {
-	want := make(map[avKey]struct{}, len(qs))
-	cols := map[int]struct{}{}
-	for _, q := range qs {
-		want[aValueKey(q.col, q.v1, q.v2)] = struct{}{}
-		cols[q.col] = struct{}{}
-	}
-	out := make(map[avKey]em.Pair)
-	for _, p := range s.candidates {
-		for c := range cols {
-			va, okA := s.table.GetByID(p.A, c)
-			vb, okB := s.table.GetByID(p.B, c)
-			if !okA || !okB {
-				continue
-			}
-			ta, okA := va.Text()
-			tb, okB := vb.Text()
-			if !okA || !okB || ta == tb {
-				continue
-			}
-			key := aValueKey(c, ta, tb)
-			if _, wanted := want[key]; !wanted {
-				continue
-			}
-			if _, dup := out[key]; !dup {
-				out[key] = p
-			}
-		}
-	}
-	return out
-}
-
 // firstTupleWith finds the smallest tuple id whose column c equals v.
 func (s *Session) firstTupleWith(c int, v string) (dataset.TupleID, bool) {
 	for i := 0; i < s.table.NumRows(); i++ {
@@ -641,29 +552,20 @@ func (s *Session) edgeShowsValues(e *erg.Edge, c int, v1, v2 string) bool {
 }
 
 // newEstimator builds one iteration's benefit estimator over the
-// per-view base charts (registration order). Single-view sessions get
-// exactly the historical estimator; multi-view sessions additionally
-// carry the per-view bases and weights so every hypothesis prices as
-// the cross-view weighted sum. Callers must freezeShared first.
+// per-view base charts (registration order), so every hypothesis prices
+// as the sum of its per-view distances. The delta pricer prices what it
+// can; the full rebuild prices the rest, and everything when the
+// pricer cannot be built for the queries. Callers must freezeShared
+// first.
 func (s *Session) newEstimator(bases []*vis.Data, workers int) *benefit.Estimator {
 	est := &benefit.Estimator{
 		Dist:         s.cfg.Dist,
-		Base:         bases[0],
+		Bases:        bases,
 		Hypothetical: s.hypotheticalVis,
 		Workers:      workers,
 	}
-	if len(s.queries) > 1 {
-		views := make([]benefit.View, len(s.queries))
-		for v := range s.queries {
-			views[v] = benefit.View{Base: bases[v], Weight: s.viewWeights[v]}
-		}
-		est.Views = views
-		est.HypotheticalAll = s.hypotheticalVisAll
-	}
-	if !s.cfg.NoIncremental {
-		if p := s.newDeltaPricer(); p != nil {
-			est.Pricer = p.price
-		}
+	if p := s.newDeltaPricer(); p != nil {
+		est.Pricer = p.price
 	}
 	return est
 }
@@ -768,58 +670,69 @@ func (s *Session) askCQG(ctx context.Context, user User, cqg *erg.Graph, rep *Re
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if e.HasT {
-			rep.TQuestions++
-			match, answered := user.AnswerT(e.A, e.B)
-			if !answered {
-				rep.Unanswered++
-			} else {
-				s.applyT(em.MakePair(e.A, e.B), match)
-				if match {
-					// Confirming the tuples also confirms their A-column
-					// values (§VI): answer any attached A-question too.
-					if e.HasA {
-						rep.AQuestions++
-						s.applyA(e.ACol, e.AV1, e.AV2, true)
-					}
-					continue
-				}
-			}
-		}
-		if e.HasA {
-			rep.AQuestions++
-			same, answered := user.AnswerA(e.ACol, e.AV1, e.AV2)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyA(e.ACol, e.AV1, e.AV2, same)
-		}
+		s.askEdge(user, e, rep)
 	}
-	yName := s.table.Schema()[s.yCol].Name
 	for _, r := range cqg.Repairs() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if r.Kind == erg.Missing {
-			rep.MQuestions++
-			v, answered := user.AnswerM(yName, r.ID)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyM(r.ID, v)
-		} else {
-			rep.OQuestions++
-			isOut, v, answered := user.AnswerO(yName, r.ID, r.Current)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyO(r.ID, isOut, v)
-		}
+		s.askRepair(user, r, rep)
 	}
 	return nil
+}
+
+// askEdge asks an edge's T-question, then its A-question, and applies
+// the answers. A confirmed T-question answers the attached A-question
+// too: confirming the tuples also confirms their A-column values (§VI).
+func (s *Session) askEdge(user User, e erg.Edge, rep *Report) {
+	if e.HasT {
+		rep.TQuestions++
+		match, answered := user.AnswerT(e.A, e.B)
+		if !answered {
+			rep.Unanswered++
+		} else {
+			s.applyT(em.MakePair(e.A, e.B), match)
+			if match {
+				if e.HasA {
+					rep.AQuestions++
+					s.applyA(e.ACol, e.AV1, e.AV2, true)
+				}
+				return
+			}
+		}
+	}
+	if e.HasA {
+		rep.AQuestions++
+		same, answered := user.AnswerA(e.ACol, e.AV1, e.AV2)
+		if !answered {
+			rep.Unanswered++
+			return
+		}
+		s.applyA(e.ACol, e.AV1, e.AV2, same)
+	}
+}
+
+// askRepair asks a vertex repair's M- or O-question and applies the
+// answer.
+func (s *Session) askRepair(user User, r *erg.VertexRepair, rep *Report) {
+	yName := s.table.Schema()[s.yCol].Name
+	if r.Kind == erg.Missing {
+		rep.MQuestions++
+		v, answered := user.AnswerM(yName, r.ID)
+		if !answered {
+			rep.Unanswered++
+			return
+		}
+		s.applyM(r.ID, v)
+		return
+	}
+	rep.OQuestions++
+	isOut, v, answered := user.AnswerO(yName, r.ID, r.Current)
+	if !answered {
+		rep.Unanswered++
+		return
+	}
+	s.applyO(r.ID, isOut, v)
 }
 
 // applyT records a T answer: matcher label + must/cannot-link. A

@@ -4,10 +4,10 @@ package pipeline
 // the same base data (DESIGN.md §13). Views share the cleaned relation —
 // buildView/viewRowFor are query-independent — so the per-view cost is
 // only query execution, incremental delta evaluation and the distance
-// baseline. Question benefit aggregates across views as the weighted sum
-// Σ_i w_i · dist_i, accumulated in view registration order, which keeps
-// every worker count bit-identical and makes the single-view session the
-// exact N=1 special case.
+// baseline. Question benefit aggregates across views as the sum
+// Σ_i dist_i, accumulated in view registration order from the first
+// term, which keeps every worker count bit-identical and makes a
+// single-view session the N=1 case of the same formula.
 
 import (
 	"fmt"
@@ -90,7 +90,6 @@ func (s *Session) applyAddView(q *vql.Query) error {
 	}
 	s.logAnswer(Answer{Kind: AnswerKindV, Query: q.String()})
 	s.queries = append(s.queries, q)
-	s.viewWeights = append(s.viewWeights, 1)
 	s.basevis = append(s.basevis, nil)
 	obsViewRegistrations.Inc()
 

@@ -1,8 +1,8 @@
 package pipeline
 
 // The multi-view determinism suite. The contracts: (1) a 2-view session
-// is bit-identical across worker counts — the cross-view weighted sum
-// runs in registration order regardless of scheduling; (2) replaying a
+// is bit-identical across worker counts — the cross-view sum runs in
+// registration order regardless of scheduling; (2) replaying a
 // history that includes a mid-session AddView restores every panel
 // byte-for-byte (the kill/restart path); (3) the N=1 fence — the
 // multi-view machinery degenerates to exactly the historical single-view

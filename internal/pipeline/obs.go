@@ -43,8 +43,6 @@ var (
 		"Detect-phase kNN suggestions served from the maintained neighbour cache.")
 	obsDetectFallbacks = obs.Default.Counter("visclean_detect_delta_fallbacks_total",
 		"Detect-phase kNN suggestions recomputed from the live index (cache miss or invalidated).")
-	obsDetectFull = obs.Default.Counter("visclean_detect_full_total",
-		"Iterations that ran the full (non-incremental) detect path.")
 
 	obsViewRegistrations = obs.Default.Counter("visclean_pipeline_view_registrations_total",
 		"Extra views registered on multi-view sessions (DESIGN.md §13) beyond the primary — construction-time extras, live AddView calls, and replayed registrations during restore alike.")
@@ -104,9 +102,6 @@ func (s *Session) observeIteration(rep *Report, start time.Time) {
 		obsDeltaFallbacks.Add(int64(rep.DeltaFallbacks))
 		obsDetectAccepts.Add(int64(rep.DetectAccepts))
 		obsDetectFallbacks.Add(int64(rep.DetectFallbacks))
-		if rep.DetectFull {
-			obsDetectFull.Inc()
-		}
 		for _, d := range rep.ViewDistMoved {
 			obsViewDistMoved.Observe(d)
 		}

@@ -75,17 +75,12 @@ type Config struct {
 	// Queries registers additional concurrent views beyond the primary
 	// query passed to NewSession: the session then serves N dashboard
 	// panels over the same base data, and every question's benefit is
-	// the weighted sum of its per-view distance deltas, so one answer
-	// improves every panel at once. View 0 is always the primary query;
-	// an empty slice is the historical single-view session. Every view
-	// must validate against the schema and share the primary query's
-	// measure (Y) column — M/O detection and repair write exactly one
-	// column.
+	// the sum of its per-view distance deltas, so one answer improves
+	// every panel at once. View 0 is always the primary query; an empty
+	// slice is a single-view session. Every view must validate against
+	// the schema and share the primary query's measure (Y) column — M/O
+	// detection and repair write exactly one column.
 	Queries []*vql.Query
-	// ViewWeights sets the per-view aggregation weights in registration
-	// order (index 0 = the primary query). Missing or non-positive
-	// entries default to 1.
-	ViewWeights []float64
 
 	// K is the CQG size (paper default 10).
 	K int
@@ -135,33 +130,13 @@ type Config struct {
 	// NoHysteresis rebuilds the auto-merge set from the raw threshold
 	// each iteration instead of the Schmitt-trigger rule.
 	NoHysteresis bool
-	// NoIncremental disables incremental delta pricing: every hypothesis
-	// is priced through the full view-rebuild path. The two paths are
-	// bit-identical (enforced by the equivalence suite), so this switch
-	// only trades speed — it exists for benchmarking the delta engine's
-	// contribution and for bisecting any future equivalence regression.
-	NoIncremental bool
-	// NoIncrementalDetect disables incremental detection (DESIGN.md
-	// §10): every iteration re-runs the full §IV detectors instead of
-	// maintaining similarity-join postings, neighbour lists and ERG scan
-	// indexes across iterations. Same contract as NoIncremental — the
-	// two detect paths are bit-identical (enforced by the
-	// detect-equivalence suite), so the switch only trades speed.
-	NoIncrementalDetect bool
-	// NoArtifactCache disables the cross-session shared artifact cache
-	// for this session even when Artifacts is set: every index,
-	// standardizer and forest is built privately, exactly as before the
-	// cache existed. Same contract as the other ablation switches — the
-	// cached and private paths are bit-identical (enforced by the
-	// determinism suite), so this only trades setup speed.
-	NoArtifactCache bool
 
-	// Artifacts, when set (and NoArtifactCache unset), is the shared
-	// cross-session artifact cache (internal/artifact, DESIGN.md §12).
-	// Session setup acquires the heavy immutables — match candidates,
-	// feature vectors, the first trained forest, token indexes, frozen
-	// standardizers, similarity joins, the pristine chart — from it
-	// instead of building them privately.
+	// Artifacts, when set, is the shared cross-session artifact cache
+	// (internal/artifact, DESIGN.md §12). Session setup acquires the
+	// heavy immutables — match candidates, feature vectors, the first
+	// trained forest, token indexes, frozen standardizers, similarity
+	// joins, the pristine charts — from it instead of building them
+	// privately. Nil builds every one of them for this session alone.
 	Artifacts *artifact.Cache
 
 	// TruthVis, when set, lets reports include the distance to the
@@ -241,11 +216,10 @@ type Session struct {
 	table *dataset.Table
 
 	// queries lists every registered view's query in registration
-	// order; queries[0] is the primary query. viewWeights aligns with it.
-	// Views added mid-session (AddView) append here and log an
-	// AnswerKindV entry so replay restores them at the same point.
-	queries     []*vql.Query
-	viewWeights []float64
+	// order; queries[0] is the primary query. Views added mid-session
+	// (AddView) append here and log an AnswerKindV entry so replay
+	// restores them at the same point.
+	queries []*vql.Query
 
 	xCol int // x-axis column index
 	yCol int // y-axis (measure) column index
@@ -316,9 +290,9 @@ type Session struct {
 	valueRows map[int]map[string][]int
 
 	// detect is the incrementally maintained detection state (see
-	// detectdelta.go); nil until the first detect, or always nil under
-	// Config.NoIncrementalDetect. lastDetect is the most recent detect
-	// phase's accounting, copied into the iteration Report.
+	// detectdelta.go); nil until the first detect. lastDetect is the
+	// most recent detect phase's accounting, copied into the iteration
+	// Report.
 	detect     *detectDelta
 	lastDetect detectStats
 
@@ -382,13 +356,6 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 		s.queries = append(s.queries, q)
 		obsViewRegistrations.Inc()
 	}
-	s.viewWeights = make([]float64, len(s.queries))
-	for i := range s.viewWeights {
-		s.viewWeights[i] = 1
-		if i < len(cfg.ViewWeights) && cfg.ViewWeights[i] > 0 {
-			s.viewWeights[i] = cfg.ViewWeights[i]
-		}
-	}
 	s.basevis = make([]*basevisArtifact, len(s.queries))
 
 	// The A-column set is the union over every view, in registration
@@ -397,17 +364,13 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 	for _, q := range s.queries {
 		s.registerViewColumns(q)
 	}
-	if cfg.Artifacts != nil && !cfg.NoArtifactCache {
+	if cfg.Artifacts != nil {
 		s.fingerprint = table.Fingerprint()
 	}
 	s.rebuildStandardizers()
 
 	s.matcher = em.NewMatcher(s.table, cfg.RF)
-	boot := s.acquireBootstrap(keyColumns)
-	if boot == nil {
-		boot = s.buildBootstrap(keyColumns)
-	}
-	s.installBootstrap(boot)
+	s.installBootstrap(s.acquireBootstrap(keyColumns))
 	return s, nil
 }
 
@@ -618,13 +581,13 @@ func (s *Session) buildClusters(extraConfirm, extraSplit []em.Pair) *em.Clusters
 }
 
 // knnIdx returns the session's shared kNN token index, building it on
-// first use. A-column cells are tokenized through the current
-// standardizers (knnCanon); the value→canonical snapshot taken here is
-// what maintainKnnIndex diffs against after later refreshes.
+// first use (see knnFromArtifact). A-column cells are tokenized through
+// the current standardizers (knnCanon); the value→canonical snapshot
+// taken there is what maintainKnnIndex diffs against after later
+// refreshes.
 func (s *Session) knnIdx() *knn.Index {
-	if s.knnIndex == nil && !s.knnFromArtifact() {
-		s.knnIndex = knn.NewIndexCanon(s.table, s.yCol, s.knnCanon)
-		s.snapshotCanon()
+	if s.knnIndex == nil {
+		s.knnFromArtifact()
 	}
 	return s.knnIndex
 }
@@ -682,11 +645,9 @@ func (s *Session) snapshotCanon() {
 // maintainKnnIndex re-tokenizes the rows whose effective cell text
 // changed since the last snapshot: a model refresh rebuilds the synonym
 // classes, and any value whose canonical form moved stales the token
-// sets of exactly the rows carrying it. Runs under both detect paths —
-// it is a correctness fix (stale tokens made Q_M/Q_O rank against
-// pre-approval text), not an optimization — and additionally marks the
-// re-tokenized rows dirty for the incremental detector's neighbour
-// cache.
+// sets of exactly the rows carrying it (stale tokens made Q_M/Q_O rank
+// against pre-approval text). It also marks the re-tokenized rows dirty
+// for the incremental detector's neighbour cache.
 func (s *Session) maintainKnnIndex() {
 	if s.knnIndex == nil {
 		return
@@ -779,18 +740,16 @@ type Report struct {
 	// DeltaAccepts / DeltaFallbacks split BenefitEvals by pricing path:
 	// hypotheses the incremental delta pricer accepted vs. ones it
 	// declined (posting/lookup miss), which fell back to the full
-	// view-rebuild. Both are zero when the pricer is off
-	// (Config.NoIncremental) or unavailable for the query.
+	// view-rebuild. Both are zero when the pricer is unavailable for
+	// the queries.
 	DeltaAccepts   int
 	DeltaFallbacks int
 	// DetectAccepts / DetectFallbacks split the detect phase's kNN
 	// suggestion lookups by path: served from the incrementally
 	// maintained neighbour cache vs. recomputed from the live index
-	// (first sight or maintenance miss). DetectFull marks an iteration
-	// that ran the full detect path (Config.NoIncrementalDetect).
+	// (first sight or maintenance miss).
 	DetectAccepts   int
 	DetectFallbacks int
-	DetectFull      bool
 	// Questions asked, split by kind, and how many went unanswered
 	// (incomplete user input).
 	TQuestions, AQuestions, MQuestions, OQuestions int

@@ -17,7 +17,7 @@ import (
 // common path for the optimization to mean anything). The workloads
 // cover every column-granular delta shape: GROUP and BIN axes, WHERE
 // predicates over A-columns and numeric columns, all three datasets, and
-// the multi-view dashboard priced as its weighted sum.
+// the multi-view dashboard priced as its per-view sum.
 func TestIncrementalPricingBitIdentical(t *testing.T) {
 	task := func(id string) string {
 		tk, err := experiments.TaskByID(id)

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"visclean/internal/em"
+	"visclean/internal/erg"
 	"visclean/internal/vis"
 )
 
@@ -25,24 +25,31 @@ func (s *Session) runSingleIteration(ctx context.Context, user User, qs question
 	s.freezeShared()
 	est := s.newEstimator(before, 1)
 
+	// Each single question is a one-question edge or repair, asked
+	// through the same askEdge/askRepair as a CQG's.
 	type scoredQ struct {
 		kind    int // 0=T 1=A 2=M 3=O
-		idx     int
+		edge    erg.Edge
+		repair  *erg.VertexRepair // set for M and O
 		benefit float64
 	}
 	benefitStart := time.Now()
 	var pool []scoredQ
-	for i, sp := range qs.T {
-		pool = append(pool, scoredQ{kind: 0, idx: i, benefit: est.TBenefit(sp.Pair, sp.Prob)})
+	for _, sp := range qs.T {
+		e := erg.Edge{A: sp.Pair.A, B: sp.Pair.B, HasT: true}
+		pool = append(pool, scoredQ{kind: 0, edge: e, benefit: est.TBenefit(sp.Pair, sp.Prob)})
 	}
-	for i, a := range qs.A {
-		pool = append(pool, scoredQ{kind: 1, idx: i, benefit: est.ABenefit(a.name, a.v1, a.v2, a.sim)})
+	for _, a := range qs.A {
+		e := erg.Edge{HasA: true, ACol: a.name, AV1: a.v1, AV2: a.v2}
+		pool = append(pool, scoredQ{kind: 1, edge: e, benefit: est.ABenefit(a.name, a.v1, a.v2, a.sim)})
 	}
-	for i, mq := range qs.M {
-		pool = append(pool, scoredQ{kind: 2, idx: i, benefit: est.MBenefit(mq.ID, mq.Value)})
+	for _, mq := range qs.M {
+		r := &erg.VertexRepair{ID: mq.ID, Kind: erg.Missing}
+		pool = append(pool, scoredQ{kind: 2, repair: r, benefit: est.MBenefit(mq.ID, mq.Value)})
 	}
-	for i, o := range qs.O {
-		pool = append(pool, scoredQ{kind: 3, idx: i, benefit: est.OBenefit(o.ID, o.Repair)})
+	for _, o := range qs.O {
+		r := &erg.VertexRepair{ID: o.ID, Kind: erg.Outlier, Current: o.Value}
+		pool = append(pool, scoredQ{kind: 3, repair: r, benefit: est.OBenefit(o.ID, o.Repair)})
 	}
 	rep.Timings.Benefit = time.Since(benefitStart)
 	rep.noteBenefit(est.Stats())
@@ -75,49 +82,15 @@ func (s *Session) runSingleIteration(ctx context.Context, user User, qs question
 		taken = taken[:m]
 	}
 
-	yName := s.table.Schema()[s.yCol].Name
 	for _, q := range taken {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		rep.EstimatedBenefit += q.benefit
-		switch q.kind {
-		case 0:
-			sp := qs.T[q.idx]
-			rep.TQuestions++
-			match, answered := user.AnswerT(sp.Pair.A, sp.Pair.B)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyT(em.MakePair(sp.Pair.A, sp.Pair.B), match)
-		case 1:
-			a := qs.A[q.idx]
-			rep.AQuestions++
-			same, answered := user.AnswerA(a.name, a.v1, a.v2)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyA(a.name, a.v1, a.v2, same)
-		case 2:
-			mq := qs.M[q.idx]
-			rep.MQuestions++
-			v, answered := user.AnswerM(yName, mq.ID)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyM(mq.ID, v)
-		case 3:
-			o := qs.O[q.idx]
-			rep.OQuestions++
-			isOut, v, answered := user.AnswerO(yName, o.ID, o.Value)
-			if !answered {
-				rep.Unanswered++
-				continue
-			}
-			s.applyO(o.ID, isOut, v)
+		if q.repair != nil {
+			s.askRepair(user, q.repair, rep)
+		} else {
+			s.askEdge(user, q.edge, rep)
 		}
 	}
 	return nil

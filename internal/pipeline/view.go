@@ -147,9 +147,13 @@ func (s *Session) CleanedView() *dataset.Table {
 	return s.buildView(s.clusters, s.std, nil)
 }
 
-// hypotheticalVis derives the visualization that one hypothetical user
-// answer would produce, leaving all session state untouched. Returns nil
-// when the hypothesis is inapplicable (e.g. a vanished tuple).
+// hypotheticalVis derives every view's chart, in registration order,
+// under one hypothetical user answer, sharing a single cleaned-relation
+// build across the views and leaving all session state untouched. A nil
+// return means the hypothesis is inapplicable (e.g. a vanished tuple); a
+// nil element means that one view's query failed over the hypothetical
+// relation (its term prices as zero — hypotheses must never abort an
+// iteration).
 //
 // This is the callback the parallel benefit engine fans out, so it must
 // be safe for concurrent calls: it only reads session state (the
@@ -157,19 +161,25 @@ func (s *Session) CleanedView() *dataset.Table {
 // see freezeShared) and builds private clusters / standardizer
 // clones / view tables per call. Hypothetical repairs substitute cell
 // values through overrides instead of writing to the shared table.
-func (s *Session) hypotheticalVis(h benefit.Hypothesis) *vis.Data {
+func (s *Session) hypotheticalVis(h benefit.Hypothesis) []*vis.Data {
 	cl, std, ov, ok := s.hypotheticalState(h)
 	if !ok {
 		return nil
 	}
-	return s.execView(cl, std, ov)
+	view := s.buildView(cl, std, ov)
+	out := make([]*vis.Data, len(s.queries))
+	for v, q := range s.queries {
+		if d, err := q.Execute(view); err == nil {
+			out[v] = d
+		}
+	}
+	return out
 }
 
 // hypotheticalState derives the cleaned-relation inputs — clusters,
 // standardizers, cell overlay — that one hypothetical answer implies.
 // ok=false means the hypothesis is inapplicable (e.g. a vanished
-// tuple). Shared by the single-view and multi-view hypothetical chart
-// builders, so both price against the identical relation.
+// tuple).
 func (s *Session) hypotheticalState(h benefit.Hypothesis) (cl *em.Clusters, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay, ok bool) {
 	switch h.Kind {
 	case benefit.TConfirm:
@@ -205,26 +215,6 @@ func (s *Session) hypotheticalState(h benefit.Hypothesis) (cl *em.Clusters, std 
 	default:
 		return nil, nil, nil, false
 	}
-}
-
-// hypotheticalVisAll derives every view's chart under one hypothetical
-// answer, sharing a single cleaned-relation build across the views. A
-// nil return means the hypothesis is inapplicable; a nil element means
-// that one view's query failed over the hypothetical relation (its term
-// prices as zero). Same concurrency contract as hypotheticalVis.
-func (s *Session) hypotheticalVisAll(h benefit.Hypothesis) []*vis.Data {
-	cl, std, ov, ok := s.hypotheticalState(h)
-	if !ok {
-		return nil
-	}
-	view := s.buildView(cl, std, ov)
-	out := make([]*vis.Data, len(s.queries))
-	for v, q := range s.queries {
-		if d, err := q.Execute(view); err == nil {
-			out[v] = d
-		}
-	}
-	return out
 }
 
 // freezeShared precomputes every lazy structure the hypothetical-vis
@@ -298,15 +288,4 @@ func cloneStdMap(in map[string]*goldenrec.Standardizer) map[string]*goldenrec.St
 		out[k] = v
 	}
 	return out
-}
-
-// execView builds the view and executes the query, returning nil on
-// execution errors (hypotheses must never abort an iteration).
-func (s *Session) execView(cl *em.Clusters, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) *vis.Data {
-	view := s.buildView(cl, std, ov)
-	d, err := s.queries[0].Execute(view)
-	if err != nil {
-		return nil
-	}
-	return d
 }

@@ -49,10 +49,10 @@ type Session struct {
 	viewVis     []*vis.Data
 	viewQueries []string
 	dist        float64
-	lastRep    *pipeline.Report
-	cqg        *CQGView
-	errMsg     string
-	lastActive time.Time
+	lastRep     *pipeline.Report
+	cqg         *CQGView
+	errMsg      string
+	lastActive  time.Time
 	// iterTag is the request tag (X-Request-ID) of the iterate call that
 	// scheduled the in-flight iteration; the worker folds it into the
 	// iteration's obs trace label and clears it.
@@ -105,15 +105,15 @@ type CQGView struct {
 
 // State is a point-in-time view of a session for frontends.
 type State struct {
-	ID          string
-	Spec        Spec
-	Iteration   int
-	Running     bool
-	Question    *Question
-	CQG         *CQGView
-	Report      *pipeline.Report
-	Err         string
-	Vis         *vis.Data
+	ID        string
+	Spec      Spec
+	Iteration int
+	Running   bool
+	Question  *Question
+	CQG       *CQGView
+	Report    *pipeline.Report
+	Err       string
+	Vis       *vis.Data
 	// ViewVis/ViewQueries carry every registered view's chart and VQL
 	// text in registration order; ViewVis[0] is the same chart as Vis.
 	ViewVis     []*vis.Data

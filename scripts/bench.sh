@@ -3,16 +3,13 @@
 # metrics as JSON (BENCH_pr7.json) so future changes can be compared
 # against a committed baseline. BenchmarkAnnotate isolates the benefit
 # engine hot path: the incremental delta pricer at Workers=1 vs
-# Workers=8, plus a FullRebuild variant (Config.NoIncremental) that
-# prices every hypothesis by re-executing the query from scratch — the
-# FullRebuild/Workers1 ratio is what incremental pricing buys.
-# BenchmarkIterationPhases records the per-phase breakdown
-# (detect/buildERG/annotate/select) of a four-iteration session twice:
-# the Incremental sub-benchmark uses the maintained detection structures
-# (detectdelta.go), FullDetect sets Config.NoIncrementalDetect — their
-# detect_µs ratio is what incremental detection buys. Fig10 is the
-# end-to-end progression smoke. All variants are cross-checked
-# bit-identical by the equivalence suites scripts/check.sh runs.
+# Workers=8. BenchmarkIterationPhases/Incremental records the per-phase
+# breakdown (detect/buildERG/annotate/select) of a four-iteration
+# session over the maintained detection structures (detectdelta.go).
+# Fig10 is the end-to-end progression smoke. The equivalence suites
+# scripts/check.sh runs hold the delta pricer and the maintained
+# detectors bit-identical to the full rebuild and the from-scratch
+# detectors.
 #
 # BenchmarkTableOps and BenchmarkCloneVsOverlay (bench_table_test.go)
 # cover the columnar dataset engine: raw cell scans, id-indexed reads,

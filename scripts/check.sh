@@ -1,11 +1,12 @@
 #!/bin/sh
-# check.sh — the repo's verification gate: build, vet, the full test
-# suite with the race detector on, a short fuzz of the similarity
-# kernels, the determinism + incremental
-# equivalence suites (same seed, Workers=1 vs Workers=8, delta pricing
-# vs full rebuild, and incremental detection vs full detect must all be
-# byte-identical), and a one-shot benchmark smoke so the bench harness
-# cannot rot. The smoke also guards the incremental engines' reason to
+# check.sh — the repo's verification gate: build, vet, gofmt, the full
+# test suite with the race detector on, a short fuzz of the similarity
+# kernels, the determinism + incremental equivalence suites (same seed
+# and Workers=1 vs Workers=8 sessions must be byte-identical, and at
+# every session state the delta pricer and the maintained detectors must
+# reproduce the full rebuild and the from-scratch detectors bit for
+# bit), and a one-shot benchmark smoke so the bench harness cannot
+# rot. The smoke also guards the incremental engines' reason to
 # exist: if BenchmarkAnnotate's Workers=1 ns/op or the Incremental
 # iteration-phase detect_µs regresses to more than 2x the committed
 # baseline (BENCH_pr3.json / BENCH_pr7.json), the check fails. The
@@ -46,6 +47,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt would reformat:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
