@@ -9,8 +9,9 @@ import (
 
 // TestCandidateIndexMatchesScans verifies the inverted index against the
 // linear scans it replaces: for every (column, value pair) it returns
-// the first candidate in list order exhibiting those values, and for
-// every tuple the candidates touching it, in list order.
+// the first candidate in list order exhibiting those values, for every
+// tuple the positions of the candidates touching it, in list order, and
+// for every candidate its own position.
 func TestCandidateIndexMatchesScans(t *testing.T) {
 	tbl := pubsTable(t)
 	cands := Candidates(tbl, BlockingConfig{KeyColumns: []int{0}})
@@ -27,10 +28,10 @@ func TestCandidateIndexMatchesScans(t *testing.T) {
 		seenIDs[p.B] = true
 	}
 	for id := range seenIDs {
-		var want []Pair
-		for _, p := range cands {
+		var want []int32
+		for i, p := range cands {
 			if p.A == id || p.B == id {
-				want = append(want, p)
+				want = append(want, int32(i))
 			}
 		}
 		got := ix.Incident(id)
@@ -40,6 +41,14 @@ func TestCandidateIndexMatchesScans(t *testing.T) {
 	}
 	if got := ix.Incident(9999); got != nil {
 		t.Errorf("Incident on untouched tuple = %v", got)
+	}
+	for i, p := range cands {
+		if got, ok := ix.Find(p); !ok || got != i {
+			t.Errorf("Find(%v) = %d, %v; want %d", p, got, ok, i)
+		}
+	}
+	if _, ok := ix.Find(MakePair(9998, 9999)); ok {
+		t.Error("Find on a non-candidate pair hit")
 	}
 
 	// Value-pair lookups: every differing value pair along a candidate

@@ -2,6 +2,7 @@ package knn
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"visclean/internal/dataset"
@@ -43,7 +44,7 @@ func TestCanonAndResetRows(t *testing.T) {
 			t.Fatalf("row %d: identity canon diverges from raw tokens", r)
 		}
 	}
-	if _, ok := ix.Tokens(1)["conf"]; !ok {
+	if !slices.Contains(ix.Tokens(1), "conf") {
 		t.Fatal("row 1 should carry its raw venue token before the merge")
 	}
 
@@ -57,7 +58,7 @@ func TestCanonAndResetRows(t *testing.T) {
 			t.Fatalf("row %d: ResetRows diverges from rebuild: %v vs %v", r, ix.Tokens(r), fresh.Tokens(r))
 		}
 	}
-	if _, ok := ix.Tokens(1)["conf"]; ok {
+	if slices.Contains(ix.Tokens(1), "conf") {
 		t.Fatal("row 1 kept its pre-merge token after ResetRows")
 	}
 

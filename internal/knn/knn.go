@@ -8,12 +8,21 @@
 // never stale it; attribute standardization does change the effective
 // cell text, which the pipeline pushes in through ResetRows).
 //
+// A row's token set is a sorted []int32 of ids from one
+// stringsim.Vocab, so scoring a row is a merge of two short id lists
+// (stringsim.JaccardIDs), which returns the very float64 a string-set
+// Jaccard returns. A Base is the raw tokenization frozen for sharing:
+// indexes bound to it share its id sets and vocabulary read-only and
+// number the tokens it lacks in a private extension of the vocabulary.
+//
 // This is reproduction infrastructure — the paper's kNN-based imputation
 // and repair (§III) do not specify an index; this one exists so the
 // reproduction's detection phase scales.
 package knn
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"visclean/internal/dataset"
@@ -34,7 +43,13 @@ type Index struct {
 	table   *dataset.Table
 	skipCol int
 	canon   Canon
-	tokens  []map[string]struct{}
+	// vocab numbers the tokens of rows; for an index bound to a Base it
+	// extends the Base's vocabulary, which it never writes.
+	vocab *stringsim.Vocab
+	// rows[r] is row r's sorted token-id set. ResetRows replaces a
+	// row's slice wholesale and never writes into one, so sets may be
+	// shared with a Base.
+	rows [][]int32
 }
 
 // NewIndex tokenizes every row of t, excluding skipCol (the measure
@@ -47,51 +62,87 @@ func NewIndex(t *dataset.Table, skipCol int) *Index {
 // NewIndexCanon is NewIndex with every cell routed through canon before
 // tokenization.
 func NewIndexCanon(t *dataset.Table, skipCol int, canon Canon) *Index {
-	ix := &Index{table: t, skipCol: skipCol, canon: canon}
-	ix.tokens = make([]map[string]struct{}, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		ix.tokens[i] = ix.rowTokens(i)
-	}
+	ix := &Index{table: t, skipCol: skipCol, canon: canon, vocab: stringsim.NewVocab()}
+	ix.rows = ix.tokenizeAll()
 	return ix
 }
 
-func (ix *Index) rowTokens(row int) map[string]struct{} {
-	set := make(map[string]struct{})
-	for c := 0; c < ix.table.NumCols(); c++ {
-		if c == ix.skipCol {
-			continue
-		}
-		text := ""
-		if ix.canon != nil {
-			text = ix.canon(c, ix.table.Get(row, c))
-		} else {
-			text = ix.table.Get(row, c).String()
-		}
-		for _, tok := range stringsim.Tokenize(text) {
-			set[tok] = struct{}{}
-		}
-	}
-	return set
+// cellKey identifies a cell's content within its column: equal keys
+// render to the same text under any Canon that is a function of the
+// cell. Numbers key by their bits so -0 and 0 stay apart.
+type cellKey struct {
+	col  int
+	null bool
+	text string
+	bits uint64
 }
 
-// TokenSets returns the per-row token sets backing the index. Both the
-// slice and the sets are shared live state: callers must treat them as
-// read-only. The artifact cache stores raw (canon-free) token sets this
-// way and re-binds them to each session's table via NewIndexFromTokens.
-func (ix *Index) TokenSets() []map[string]struct{} { return ix.tokens }
-
-// NewIndexFromTokens builds an Index over t from precomputed token sets,
-// sharing the set maps with the source. tokens must be what
-// NewIndexCanon(t, skipCol, canon) would have produced for rows it is
-// not later asked to ResetRows — sharing is safe because ResetRows
-// replaces a row's map wholesale, never mutating a set in place.
-func NewIndexFromTokens(t *dataset.Table, skipCol int, canon Canon, tokens []map[string]struct{}) *Index {
-	return &Index{
-		table:   t,
-		skipCol: skipCol,
-		canon:   canon,
-		tokens:  append([]map[string]struct{}(nil), tokens...),
+func keyOf(col int, v dataset.Value) cellKey {
+	if f, ok := v.Float(); ok {
+		return cellKey{col: col, bits: math.Float64bits(f)}
 	}
+	txt, _ := v.Text()
+	return cellKey{col: col, null: v.IsNull(), text: txt}
+}
+
+// tokenizeAll builds every row's id set, tokenizing each distinct
+// (column, cell) once. The sets share one backing array.
+func (ix *Index) tokenizeAll() [][]int32 {
+	n := ix.table.NumRows()
+	cells := make(map[cellKey][]int32)
+	flat := make([]int32, 0, 8*n)
+	ends := make([]int, n)
+	for r := 0; r < n; r++ {
+		start := len(flat)
+		for c := 0; c < ix.table.NumCols(); c++ {
+			if c == ix.skipCol {
+				continue
+			}
+			v := ix.table.Get(r, c)
+			k := keyOf(c, v)
+			ids, ok := cells[k]
+			if !ok {
+				ids = ix.vocab.TokenIDs(ix.text(c, v))
+				cells[k] = ids
+			}
+			flat = append(flat, ids...)
+		}
+		flat = flat[:start+len(sortedSet(flat[start:]))]
+		ends[r] = len(flat)
+	}
+	rows := make([][]int32, n)
+	start := 0
+	for r, end := range ends {
+		rows[r] = flat[start:end:end]
+		start = end
+	}
+	return rows
+}
+
+// sortedSet sorts ids in place and drops duplicates, returning the
+// shortened prefix.
+func sortedSet(ids []int32) []int32 {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// text is the text a cell tokenizes to.
+func (ix *Index) text(col int, v dataset.Value) string {
+	if ix.canon != nil {
+		return ix.canon(col, v)
+	}
+	return v.String()
+}
+
+// rowSet tokenizes one row afresh against the current canon.
+func (ix *Index) rowSet(row int) []int32 {
+	var ids []int32
+	for c := 0; c < ix.table.NumCols(); c++ {
+		if c != ix.skipCol {
+			ids = append(ids, ix.vocab.TokenIDs(ix.text(c, ix.table.Get(row, c)))...)
+		}
+	}
+	return sortedSet(ids)
 }
 
 // ResetRows re-tokenizes the given rows against the table's (and canon's)
@@ -99,8 +150,8 @@ func NewIndexFromTokens(t *dataset.Table, skipCol int, canon Canon, tokens []map
 // changes the canonical form of a value those rows carry.
 func (ix *Index) ResetRows(rows []int) {
 	for _, r := range rows {
-		if r >= 0 && r < len(ix.tokens) {
-			ix.tokens[r] = ix.rowTokens(r)
+		if r >= 0 && r < len(ix.rows) {
+			ix.rows[r] = ix.rowSet(r)
 		}
 	}
 }
@@ -111,8 +162,22 @@ func (ix *Index) Table() *dataset.Table { return ix.table }
 // SkipCol returns the excluded column index.
 func (ix *Index) SkipCol() int { return ix.skipCol }
 
-// Tokens returns the token set of one row. Callers must not mutate it.
-func (ix *Index) Tokens(row int) map[string]struct{} { return ix.tokens[row] }
+// Tokens returns the token set of one row, sorted ascending. It decodes
+// the row's ids, so sets of indexes with different vocabularies compare
+// equal exactly when they hold the same tokens.
+func (ix *Index) Tokens(row int) []string {
+	toks := make([]string, len(ix.rows[row]))
+	for i, id := range ix.rows[row] {
+		toks[i] = ix.vocab.Token(id)
+	}
+	sort.Strings(toks)
+	return toks
+}
+
+// Sim returns the token Jaccard similarity of rows a and b.
+func (ix *Index) Sim(a, b int) float64 {
+	return stringsim.JaccardIDs(ix.rows[a], ix.rows[b])
+}
 
 // Neighbor is one similarity-ranked candidate row.
 type Neighbor struct {
@@ -121,34 +186,113 @@ type Neighbor struct {
 	Sim float64
 }
 
+// ranksBefore is the neighbour order: descending similarity, then
+// ascending tuple id. Tuple ids are unique, so it is a strict total
+// order on a table's rows.
+func (a Neighbor) ranksBefore(b Neighbor) bool {
+	return a.Sim > b.Sim || (a.Sim == b.Sim && a.ID < b.ID)
+}
+
+// Insert places nb into ns, a list in neighbour order (descending
+// similarity, ascending tuple id) capped at k entries when k > 0, and
+// reports whether the list changed. It is the bounded top-k buffer of
+// Nearest, and keeps a cached neighbour list exact when a new row
+// becomes a candidate.
+func Insert(ns []Neighbor, nb Neighbor, k int) ([]Neighbor, bool) {
+	if k > 0 && len(ns) >= k && !nb.ranksBefore(ns[len(ns)-1]) {
+		return ns, false
+	}
+	pos := len(ns)
+	for pos > 0 && nb.ranksBefore(ns[pos-1]) {
+		pos--
+	}
+	ns = slices.Insert(ns, pos, nb)
+	if k > 0 && len(ns) > k {
+		ns = ns[:k]
+	}
+	return ns, true
+}
+
 // Nearest returns up to k rows most similar to row, excluding row itself
 // and any candidate rejected by accept (nil accepts all), ordered by
 // descending similarity with ascending tuple id as the tiebreak — the
-// deterministic ranking the imputer has always used. Candidates are
-// scored in row order, so the result is reproducible bit for bit.
+// deterministic ranking the imputer has always used. k ≤ 0 returns every
+// accepted row. Every accepted row is scored; a bounded buffer keeps the
+// k best, which the strict order makes exactly the first k of a full
+// sort.
 func (ix *Index) Nearest(row, k int, accept func(row int) bool) []Neighbor {
-	var cands []Neighbor
-	for i := range ix.tokens {
-		if i == row {
+	probe := ix.rows[row]
+	bounded := k > 0 && k < len(ix.rows)
+	var ns []Neighbor
+	if bounded {
+		ns = make([]Neighbor, 0, k+1)
+	}
+	for i, set := range ix.rows {
+		if i == row || (accept != nil && !accept(i)) {
 			continue
 		}
-		if accept != nil && !accept(i) {
-			continue
+		nb := Neighbor{Row: i, ID: ix.table.ID(i), Sim: stringsim.JaccardIDs(probe, set)}
+		if bounded {
+			ns, _ = Insert(ns, nb, k)
+		} else {
+			ns = append(ns, nb)
 		}
-		cands = append(cands, Neighbor{
-			Row: i,
-			ID:  ix.table.ID(i),
-			Sim: stringsim.JaccardSets(ix.tokens[row], ix.tokens[i]),
+	}
+	if !bounded {
+		slices.SortFunc(ns, func(a, b Neighbor) int {
+			switch {
+			case a.ranksBefore(b):
+				return -1
+			case b.ranksBefore(a):
+				return 1
+			}
+			return 0
 		})
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].Sim != cands[b].Sim {
-			return cands[a].Sim > cands[b].Sim
-		}
-		return cands[a].ID < cands[b].ID
-	})
-	if k > 0 && len(cands) > k {
-		cands = cands[:k]
+	return ns
+}
+
+// Base is a table's raw tokenization (no Canon) frozen for sharing:
+// every row's id set under one vocabulary. Indexes bound to it share
+// both and never write them, so any number of sessions over tables of
+// the same content may bind one Base concurrently.
+type Base struct {
+	skipCol int
+	vocab   *stringsim.Vocab
+	rows    [][]int32
+}
+
+// NewBase tokenizes every row of t, excluding skipCol, as NewIndex does.
+func NewBase(t *dataset.Table, skipCol int) *Base {
+	ix := NewIndex(t, skipCol)
+	return &Base{skipCol: skipCol, vocab: ix.vocab, rows: ix.rows}
+}
+
+// Bind returns an index over t, whose content must equal the table the
+// Base was built from, that tokenizes through canon. It starts from the
+// Base's raw sets: the caller must ResetRows every row whose text canon
+// changes. Tokens the Base's vocabulary lacks get ids in the index's own
+// extension of it.
+func (b *Base) Bind(t *dataset.Table, canon Canon) *Index {
+	return &Index{
+		table:   t,
+		skipCol: b.skipCol,
+		canon:   canon,
+		vocab:   b.vocab.Extend(),
+		rows:    slices.Clone(b.rows),
 	}
-	return cands
+}
+
+// Bytes approximates the Base's heap footprint: the id sets, and per
+// token its text, a string header and a map entry.
+func (b *Base) Bytes() int64 {
+	const sliceHdr, strHdr, mapEntry = 24, 16, 48
+	n := int64(len(b.rows)) * sliceHdr
+	for _, set := range b.rows {
+		n += 4 * int64(len(set))
+	}
+	for id := 0; id < b.vocab.Len(); id++ {
+		n += int64(len(b.vocab.Token(int32(id)))) + strHdr + mapEntry
+	}
+	return n
 }

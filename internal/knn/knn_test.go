@@ -65,7 +65,7 @@ func TestNearestAcceptFilter(t *testing.T) {
 func TestSkipColExcludedFromTokens(t *testing.T) {
 	ix := NewIndex(testTable(t), 2)
 	for row := 0; row < 4; row++ {
-		for tok := range ix.Tokens(row) {
+		for _, tok := range ix.Tokens(row) {
 			if tok == "174" || tok == "1740" || tok == "42" {
 				t.Fatalf("row %d tokens include measure value %q", row, tok)
 			}
@@ -83,5 +83,34 @@ func TestNearestTruncatesToK(t *testing.T) {
 	}
 	if got := len(ix.Nearest(0, 0, nil)); got != 3 {
 		t.Fatalf("k=0 (unbounded) returned %d neighbours", got)
+	}
+}
+
+// TestInsertNeighbor pins the bounded top-k buffer that Nearest and the
+// pipeline's neighbour-cache maintenance share: insertion keeps
+// (descending sim, ascending id) order and the k cap, and reports
+// whether the list changed.
+func TestInsertNeighbor(t *testing.T) {
+	ns := []Neighbor{{Row: 1, ID: 1, Sim: 0.9}, {Row: 2, ID: 2, Sim: 0.5}, {Row: 3, ID: 3, Sim: 0.3}}
+
+	got, ins := Insert(append([]Neighbor(nil), ns...), Neighbor{Row: 4, ID: 4, Sim: 0.7}, 3)
+	if !ins || len(got) != 3 || got[1].ID != 4 || got[2].ID != 2 {
+		t.Fatalf("mid insert: %+v", got)
+	}
+	got, ins = Insert(append([]Neighbor(nil), ns...), Neighbor{Row: 4, ID: 4, Sim: 0.1}, 3)
+	if ins || len(got) != 3 {
+		t.Fatalf("below-cap value inserted: %+v", got)
+	}
+	got, ins = Insert(append([]Neighbor(nil), ns...), Neighbor{Row: 0, ID: 0, Sim: 0.5}, 3)
+	if !ins || got[1].ID != 0 || got[2].ID != 2 {
+		t.Fatalf("tie broken wrong: %+v", got)
+	}
+	got, ins = Insert(ns[:2:2], Neighbor{Row: 4, ID: 4, Sim: 0.1}, 3)
+	if !ins || len(got) != 3 || got[2].ID != 4 {
+		t.Fatalf("under-capacity append: %+v", got)
+	}
+	got, ins = Insert(append([]Neighbor(nil), ns...), Neighbor{Row: 4, ID: 4, Sim: 0.1}, 0)
+	if !ins || len(got) != 4 || got[3].ID != 4 {
+		t.Fatalf("unbounded append: %+v", got)
 	}
 }

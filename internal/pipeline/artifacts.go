@@ -15,11 +15,14 @@ package pipeline
 //	simjoin  — the Algorithm 1 similarity self-join of one A-column at
 //	           one threshold. Sessions share the pairs slice and get a
 //	           private memo (CloneShared).
-//	knn      — the raw per-row token sets of the kNN index. Token sets
+//	knn      — the raw tokenization of the kNN index (knn.Base): every
+//	           row's sorted token-id set and the vocabulary. Token sets
 //	           exclude yCol, the only column repairs rewrite, so they are
 //	           valid at any point in any session's life; each session
-//	           re-binds them to its own table and canonicalizer and
-//	           re-tokenizes only rows whose canonical text differs.
+//	           binds them to its own table and canonicalizer and
+//	           re-tokenizes only rows whose canonical text differs,
+//	           replacing those rows' sets and numbering new tokens in a
+//	           private extension of the vocabulary.
 //	basevis  — one view's pristine initial chart and its
 //	           distance.Baseline prefix sums, served while the session
 //	           has no answers. Keyed per view query, so multi-view
@@ -28,15 +31,17 @@ package pipeline
 // The determinism contract: every artifact is a pure function of the
 // fingerprinted table content plus the parameters its kind string
 // encodes, and strictly read-only once built. Mutable companions (the
-// similarity memo, the token maps a session resets) are private per
-// session. A session without the shared cache runs the very same
-// builds for itself (see acquire), so every artifact has one
-// acquisition path and the determinism suite holds cache-on sessions
-// byte-identical to cache-off ones.
+// similarity memo, the token sets a session resets and the vocabulary
+// extension that numbers their new tokens) are private per session. A
+// session without the shared cache runs the very same builds for
+// itself (see acquire), so every artifact has one acquisition path and
+// the determinism suite holds cache-on sessions byte-identical to
+// cache-off ones.
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"visclean/internal/artifact"
@@ -49,10 +54,9 @@ import (
 	"visclean/internal/vis"
 )
 
-// Rough per-element heap overheads for Bytes() accounting: a map entry's
-// bucket share, a string header, a slice header, a forest node.
+// Rough per-element heap overheads for Bytes() accounting: a string
+// header, a slice header, a forest node.
 const (
-	mapEntryBytes  = 48
 	strHeaderBytes = 16
 	sliceHdrBytes  = 24
 	forestNodeSize = 48
@@ -219,17 +223,14 @@ func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
 // installBootstrap starts the session from its bootstrap artifact, then
 // runs the refreshModel tail (synonym classes, clustering, index
 // maintenance) as a refresh with no user labels would. It is the only
-// way a session's EM model starts. Candidate, feature and probability
-// storage may be shared read-only: later refreshes replace map entries
-// wholesale, never mutating the slices.
+// way a session's EM model starts. The candidate list and the feature
+// vectors stay shared read-only; the session copies the slices it
+// writes (feature slots, probabilities).
 func (s *Session) installBootstrap(a *embootArtifact) {
 	s.candidates = a.candidates
-	s.featCache = make(map[em.Pair][]float64, len(a.candidates))
-	s.probCache = make(map[em.Pair]float64, len(a.candidates))
-	for i, p := range a.candidates {
-		s.featCache[p] = a.feats[i]
-		s.probCache[p] = a.probs[i]
-	}
+	s.feats = slices.Clone(a.feats)
+	s.probs = slices.Clone(a.probs)
+	s.merged = make([]bool, len(a.candidates))
 	for _, l := range a.labels {
 		s.matcher.AddLabel(l.pair, l.match)
 	}
@@ -294,37 +295,17 @@ func (s *Session) simIndexFor(col int, threshold float64) *goldenrec.SimIndex {
 
 // ---- knn ----
 
-// knnArtifact is the raw (canon-free) token set of every row, skipCol
-// excluded. The maps are shared live across sessions: safe because
-// ResetRows replaces a row's map wholesale, never mutating one in place.
-type knnArtifact struct {
-	tokens []map[string]struct{}
-	bytes  int64
-}
-
-func newKnnArtifact(ix *knn.Index) *knnArtifact {
-	tokens := ix.TokenSets()
-	b := int64(sliceHdrBytes)
-	for _, set := range tokens {
-		b += sliceHdrBytes
-		for tok := range set {
-			b += int64(len(tok)) + mapEntryBytes
-		}
-	}
-	return &knnArtifact{tokens: tokens, bytes: b}
-}
-
-func (a *knnArtifact) Bytes() int64 { return a.bytes }
-
-// knnFromArtifact installs the session's kNN index from the acquired
-// raw token sets, re-tokenizing exactly the rows whose canonical text
-// differs from the raw rendering — none in a fresh session; after a
-// snapshot restore, the rows touched by replayed approvals.
+// knnFromArtifact installs the session's kNN index bound to the
+// acquired raw tokenization (a *knn.Base: every row's token-id set and
+// the vocabulary, shared read-only), re-tokenizing exactly the rows
+// whose canonical text differs from the raw rendering — none in a fresh
+// session; after a snapshot restore, the rows touched by replayed
+// approvals.
 func (s *Session) knnFromArtifact() {
-	a, _ := s.acquire(fmt.Sprintf("knn:skip=%d", s.yCol), func() (artifact.Artifact, error) {
-		return newKnnArtifact(knn.NewIndex(s.table, s.yCol)), nil
+	a, _ := s.acquire(s.knnKind(), func() (artifact.Artifact, error) {
+		return knn.NewBase(s.table, s.yCol), nil
 	}) // the build cannot fail, so neither can acquire
-	s.knnIndex = knn.NewIndexFromTokens(s.table, s.yCol, s.knnCanon, a.(*knnArtifact).tokens)
+	s.knnIndex = a.(*knn.Base).Bind(s.table, s.knnCanon)
 	s.snapshotCanon()
 	var rows []int
 	for _, c := range s.aColumns {
@@ -335,10 +316,13 @@ func (s *Session) knnFromArtifact() {
 		}
 	}
 	if len(rows) > 0 {
-		sort.Ints(rows)
-		s.knnIndex.ResetRows(dedupSortedInts(rows))
+		slices.Sort(rows)
+		s.knnIndex.ResetRows(slices.Compact(rows))
 	}
 }
+
+// knnKind is the knn artifact's kind string.
+func (s *Session) knnKind() string { return fmt.Sprintf("knn:skip=%d", s.yCol) }
 
 // ---- basevis ----
 

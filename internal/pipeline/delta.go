@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sort"
 
 	"visclean/internal/benefit"
@@ -344,8 +345,8 @@ func (p *deltaPricer) postingDirty(changes []stdChange) ([]int, bool) {
 		out = append(out, p.posting[ch.name][r1]...)
 		out = append(out, p.posting[ch.name][r2]...)
 	}
-	sort.Ints(out)
-	return dedupSortedInts(out), true
+	slices.Sort(out)
+	return slices.Compact(out), true
 }
 
 // changeCols lists the columns a set of value equations rewrites.

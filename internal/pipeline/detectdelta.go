@@ -52,14 +52,13 @@ package pipeline
 // attribute cells) and are answered from a static em.CandidateIndex.
 
 import (
-	"sort"
+	"slices"
 
 	"visclean/internal/dataset"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
 	"visclean/internal/impute"
 	"visclean/internal/knn"
-	"visclean/internal/stringsim"
 )
 
 // detectStats is one iteration's incremental-detection accounting,
@@ -190,8 +189,8 @@ func (d *detectDelta) sync(ix *knn.Index) {
 	if len(cands) == 0 {
 		return
 	}
-	sort.Ints(cands)
-	cands = dedupSortedInts(cands)
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
 	k := d.s.cfg.ImputeK
 	for id, ns := range d.neigh {
 		row, ok := d.s.table.RowIndex(id)
@@ -203,13 +202,8 @@ func (d *detectDelta) sync(ix *knn.Index) {
 			if r == row {
 				continue
 			}
-			nb := knn.Neighbor{
-				Row: r,
-				ID:  d.s.table.ID(r),
-				Sim: stringsim.JaccardSets(ix.Tokens(row), ix.Tokens(r)),
-			}
 			var ins bool
-			ns, ins = insertNeighbor(ns, nb, k)
+			ns, ins = knn.Insert(ns, knn.Neighbor{Row: r, ID: d.s.table.ID(r), Sim: ix.Sim(row, r)}, k)
 			changed = changed || ins
 		}
 		if changed {
@@ -223,41 +217,6 @@ func (d *detectDelta) sync(ix *knn.Index) {
 func (d *detectDelta) eligAccept(i int) bool {
 	_, ok := d.s.table.Get(i, d.s.yCol).Float()
 	return ok
-}
-
-// insertNeighbor places nb into a rank-ordered neighbour list (descending
-// sim, ascending id) capped at k, reporting whether the list changed.
-func insertNeighbor(ns []knn.Neighbor, nb knn.Neighbor, k int) ([]knn.Neighbor, bool) {
-	pos := len(ns)
-	for i, x := range ns {
-		if nb.Sim > x.Sim || (nb.Sim == x.Sim && nb.ID < x.ID) {
-			pos = i
-			break
-		}
-	}
-	if pos == len(ns) {
-		if k > 0 && len(ns) >= k {
-			return ns, false
-		}
-		return append(ns, nb), true
-	}
-	ns = append(ns, knn.Neighbor{})
-	copy(ns[pos+1:], ns[pos:])
-	ns[pos] = nb
-	if k > 0 && len(ns) > k {
-		ns = ns[:k]
-	}
-	return ns, true
-}
-
-func dedupSortedInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // suggestForK serves one kNN repair suggestion over a neighbourhood of

@@ -316,15 +316,11 @@ func TestAMergeChangesImputationNeighbors(t *testing.T) {
 		_, ok := s.table.Get(r, s.yCol).Float()
 		return ok
 	}
-	preTok := map[string]map[string]struct{}{}
+	preTok := map[string][]string{}
 	preNear := map[string]string{}
 	for _, v := range []string{v1, v2} {
 		r := rowsOf[v][0]
-		tok := make(map[string]struct{}, len(ix.Tokens(r)))
-		for k := range ix.Tokens(r) {
-			tok[k] = struct{}{}
-		}
-		preTok[v] = tok
+		preTok[v] = ix.Tokens(r)
 		preNear[v] = fmt.Sprint(ix.Nearest(r, s.cfg.ImputeK, accept))
 	}
 
@@ -427,29 +423,5 @@ func TestPickOQuestionsGate(t *testing.T) {
 	}
 	if capped := pickOQuestions(dets, 4, answered, 1, suggest); len(capped) != 1 {
 		t.Errorf("maxO=1 returned %d questions", len(capped))
-	}
-}
-
-// TestInsertNeighbor pins the cache maintenance primitive: insertion
-// keeps (descending sim, ascending id) order and the k cap, and reports
-// whether the list changed.
-func TestInsertNeighbor(t *testing.T) {
-	ns := []knn.Neighbor{{Row: 1, ID: 1, Sim: 0.9}, {Row: 2, ID: 2, Sim: 0.5}, {Row: 3, ID: 3, Sim: 0.3}}
-
-	got, ins := insertNeighbor(append([]knn.Neighbor(nil), ns...), knn.Neighbor{Row: 4, ID: 4, Sim: 0.7}, 3)
-	if !ins || len(got) != 3 || got[1].ID != 4 || got[2].ID != 2 {
-		t.Fatalf("mid insert: %+v", got)
-	}
-	got, ins = insertNeighbor(append([]knn.Neighbor(nil), ns...), knn.Neighbor{Row: 4, ID: 4, Sim: 0.1}, 3)
-	if ins || len(got) != 3 {
-		t.Fatalf("below-cap value inserted: %+v", got)
-	}
-	got, ins = insertNeighbor(append([]knn.Neighbor(nil), ns...), knn.Neighbor{Row: 0, ID: 0, Sim: 0.5}, 3)
-	if !ins || got[1].ID != 0 || got[2].ID != 2 {
-		t.Fatalf("tie broken wrong: %+v", got)
-	}
-	got, ins = insertNeighbor(ns[:2:2], knn.Neighbor{Row: 4, ID: 4, Sim: 0.1}, 3)
-	if !ins || len(got) != 3 || got[2].ID != 4 {
-		t.Fatalf("under-capacity append: %+v", got)
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -258,40 +259,57 @@ func pickOQuestions(dets []outlier.Detection, med float64, answered map[dataset.
 }
 
 // uncertainPairs ranks unlabeled candidates by |p−0.5| ascending from
-// the cached probabilities, keeping only probabilities in [lo, hi].
+// the cached probabilities, keeping only probabilities in [lo, hi], and
+// returns the first n (all when n ≤ 0). A bounded buffer keeps the n
+// best; candidates are distinct pairs, so moreUncertain is a strict
+// total order and the buffer holds exactly the first n of a full sort.
 func (s *Session) uncertainPairs(n int, lo, hi float64) []em.ScoredPair {
-	scored := make([]em.ScoredPair, 0, len(s.candidates))
-	for _, p := range s.candidates {
-		if _, labeled := s.matcher.Label(p); labeled {
-			continue
-		}
-		pr := s.prob(p)
+	var top []em.ScoredPair
+	for i, pr := range s.probs {
 		if pr < lo || pr > hi {
 			continue
 		}
-		scored = append(scored, em.ScoredPair{Pair: p, Prob: pr})
+		if _, labeled := s.matcher.Label(s.candidates[i]); labeled {
+			continue
+		}
+		sp := em.ScoredPair{Pair: s.candidates[i], Prob: pr}
+		if n <= 0 {
+			top = append(top, sp)
+			continue
+		}
+		if len(top) == n {
+			if !moreUncertain(sp, top[n-1]) {
+				continue
+			}
+			top = top[:n-1]
+		}
+		pos := sort.Search(len(top), func(j int) bool { return moreUncertain(sp, top[j]) })
+		top = slices.Insert(top, pos, sp)
 	}
-	sort.Slice(scored, func(a, b int) bool {
-		da := scored[a].Prob - 0.5
-		if da < 0 {
-			da = -da
-		}
-		db := scored[b].Prob - 0.5
-		if db < 0 {
-			db = -db
-		}
-		if da != db {
-			return da < db
-		}
-		if scored[a].Pair.A != scored[b].Pair.A {
-			return scored[a].Pair.A < scored[b].Pair.A
-		}
-		return scored[a].Pair.B < scored[b].Pair.B
-	})
-	if n > 0 && len(scored) > n {
-		scored = scored[:n]
+	if n <= 0 {
+		sort.Slice(top, func(a, b int) bool { return moreUncertain(top[a], top[b]) })
 	}
-	return scored
+	return top
+}
+
+// moreUncertain orders Q_T candidates: ascending |p−0.5|, then
+// ascending (A, B).
+func moreUncertain(a, b em.ScoredPair) bool {
+	da := a.Prob - 0.5
+	if da < 0 {
+		da = -da
+	}
+	db := b.Prob - 0.5
+	if db < 0 {
+		db = -db
+	}
+	if da != db {
+		return da < db
+	}
+	if a.Pair.A != b.Pair.A {
+		return a.Pair.A < b.Pair.A
+	}
+	return a.Pair.B < b.Pair.B
 }
 
 // medianScore is the true median of the detections' scores: for
@@ -425,10 +443,10 @@ func (s *Session) buildERG(qs questionSet) *erg.Graph {
 			A: pair.A, B: pair.B,
 			HasA: true, PA: p.q.sim, ACol: p.q.name, AV1: p.q.v1, AV2: p.q.v2,
 		}
-		if pr, isCand := s.probCache[pair]; isCand {
+		if i, isCand := cidx.Find(pair); isCand {
 			if _, labeled := s.matcher.Label(pair); !labeled {
 				e.HasT = true
-				e.PT = pr
+				e.PT = s.probs[i]
 			}
 		}
 		if g.AddEdge(e) == nil {
@@ -470,7 +488,8 @@ func (s *Session) connectIsolated(g *erg.Graph, qs questionSet) {
 		// candidates incident to it, in candidate-list order.
 		bestPair := em.Pair{}
 		bestProb := -1.0
-		for _, p := range cidx.Incident(r.ID) {
+		for _, i := range cidx.Incident(r.ID) {
+			p := s.candidates[i]
 			other := p.A
 			if other == r.ID {
 				other = p.B
@@ -478,7 +497,7 @@ func (s *Session) connectIsolated(g *erg.Graph, qs questionSet) {
 			if !g.HasVertex(other) {
 				continue
 			}
-			if pr := s.prob(p); pr > bestProb {
+			if pr := s.probs[i]; pr > bestProb {
 				bestProb, bestPair = pr, p
 			}
 		}

@@ -8,6 +8,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -229,21 +230,27 @@ type Session struct {
 	// Q7 cleans Venue synonyms inside the predicate).
 	aColumns []int
 
-	matcher    *em.Matcher
+	matcher *em.Matcher
+	// candidates is the blocking candidate list, shared read-only with
+	// the bootstrap artifact. The model state below is index-aligned
+	// with it: feats[i] is candidate i's feature vector (replaced, never
+	// written, so vectors may be shared too), probs[i] its matching
+	// probability as of the last refresh and merged[i] whether it was in
+	// the last auto-merge set, the input to the hysteresis rule (see
+	// hysteresisMergeList).
 	candidates []em.Pair
-	probCache  map[em.Pair]float64
-	// featCache holds per-pair feature vectors; entries touching a tuple
-	// whose cells changed (dirtyIDs) are recomputed at the next refresh.
-	featCache map[em.Pair][]float64
-	dirtyIDs  map[dataset.TupleID]struct{}
+	feats      [][]float64
+	probs      []float64
+	merged     []bool
+	// dirtyIDs lists the tuples whose cells changed since the last
+	// refresh; it recomputes the features of the candidates incident to
+	// them (see staleCandidates).
+	dirtyIDs []dataset.TupleID
 	// mergeList is the threshold-filtered, probability-sorted candidate
 	// list, shared by every clustering rebuild within an iteration.
 	mergeList []em.ScoredPair
-	// prevMerged is the last iteration's auto-merge set, input to the
-	// hysteresis rule (see hysteresisMergeList).
-	prevMerged map[em.Pair]struct{}
-	confirmed  []em.Pair
-	split      []em.Pair
+	confirmed []em.Pair
+	split     []em.Pair
 	// userLabeled is set once the user answers a first T-question. Until
 	// then the model (trained only on bootstrap pseudo-labels) is used
 	// for probabilities and active learning but not for auto-merging, so
@@ -374,24 +381,23 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 	return s, nil
 }
 
-// refreshModel retrains the matcher, refreshes the probability cache,
-// rebuilds the synonym classes from the accumulated A votes and rebuilds
-// the entity clustering (framework step 6's model update).
+// refreshModel retrains the matcher, refreshes the candidates' features
+// and probabilities, rebuilds the synonym classes from the accumulated A
+// votes and rebuilds the entity clustering (framework step 6's model
+// update).
 func (s *Session) refreshModel() {
 	s.rel = nil
 	_ = s.matcher.Train(s.table) // single-class training silently keeps the heuristic
-	var stale []em.Pair
-	for _, p := range s.candidates {
-		if _, ok := s.featCache[p]; !ok || s.pairDirty(p) {
-			stale = append(stale, p)
-		}
+	stale := s.staleCandidates()
+	pairs := make([]em.Pair, len(stale))
+	for j, i := range stale {
+		pairs[j] = s.candidates[i]
 	}
-	for i, feats := range s.matcher.FeaturesOf(s.table, stale) {
-		s.featCache[stale[i]] = feats
+	for j, feats := range s.matcher.FeaturesOf(s.table, pairs) {
+		s.feats[stale[j]] = feats
 	}
-	s.probCache = make(map[em.Pair]float64, len(s.candidates))
-	for _, p := range s.candidates {
-		s.probCache[p] = s.matcher.ProbWithFeatures(p, s.featCache[p])
+	for i, feats := range s.feats {
+		s.probs[i] = s.matcher.ProbWithFeatures(s.candidates[i], feats)
 	}
 	s.dirtyIDs = nil
 	if s.userLabeled {
@@ -402,6 +408,21 @@ func (s *Session) refreshModel() {
 	s.rebuildStandardizers()
 	s.clusters = s.buildClusters(nil, nil)
 	s.maintainKnnIndex()
+}
+
+// staleCandidates returns, ascending, the positions of the candidates
+// incident to a tuple whose cells changed since the last refresh.
+func (s *Session) staleCandidates() []int32 {
+	if len(s.dirtyIDs) == 0 {
+		return nil
+	}
+	cidx := s.detector().candidateIndex()
+	var stale []int32
+	for _, id := range s.dirtyIDs {
+		stale = append(stale, cidx.Incident(id)...)
+	}
+	slices.Sort(stale)
+	return slices.Compact(stale)
 }
 
 // hysteresisMergeList selects the auto-merge pairs with a Schmitt-
@@ -417,26 +438,15 @@ func (s *Session) hysteresisMergeList() []em.ScoredPair {
 		margin = 0
 	}
 	th := s.cfg.ClusterThreshold
-	merged := make(map[em.Pair]struct{}, len(s.prevMerged))
-	keep := func(p em.Pair, pr float64) bool {
-		if pr >= th+margin {
-			return true
-		}
-		if _, was := s.prevMerged[p]; was && pr >= th-margin {
-			return true
-		}
-		return false
-	}
 	var list []em.ScoredPair
-	for _, p := range s.candidates {
-		pr := s.prob(p)
-		if keep(p, pr) {
-			list = append(list, em.ScoredPair{Pair: p, Prob: pr})
-			merged[p] = struct{}{}
+	for i, pr := range s.probs {
+		keep := pr >= th+margin || (s.merged[i] && pr >= th-margin)
+		s.merged[i] = keep
+		if keep {
+			list = append(list, em.ScoredPair{Pair: s.candidates[i], Prob: pr})
 		}
 	}
 	sortScored(list)
-	s.prevMerged = merged
 	return list
 }
 
@@ -452,24 +462,10 @@ func sortScored(list []em.ScoredPair) {
 	})
 }
 
-func (s *Session) pairDirty(p em.Pair) bool {
-	if len(s.dirtyIDs) == 0 {
-		return false
-	}
-	if _, ok := s.dirtyIDs[p.A]; ok {
-		return true
-	}
-	_, ok := s.dirtyIDs[p.B]
-	return ok
-}
-
-// markDirty records that a tuple's cells changed, invalidating cached
-// pair features that involve it.
+// markDirty records that a tuple's cells changed, invalidating the
+// cached features of the candidates that involve it.
 func (s *Session) markDirty(id dataset.TupleID) {
-	if s.dirtyIDs == nil {
-		s.dirtyIDs = map[dataset.TupleID]struct{}{}
-	}
-	s.dirtyIDs[id] = struct{}{}
+	s.dirtyIDs = append(s.dirtyIDs, id)
 }
 
 // rebuildStandardizers reconstructs the per-column synonym classes from
@@ -552,14 +548,6 @@ func (s *Session) approveViolatesReject(st *goldenrec.Standardizer, ap aKey) boo
 		}
 	}
 	return false
-}
-
-// prob returns the cached matching probability of a candidate pair.
-func (s *Session) prob(p em.Pair) float64 {
-	if pr, ok := s.probCache[p]; ok {
-		return pr
-	}
-	return s.matcher.Prob(s.table, p)
 }
 
 // buildClusters builds the entity partition under the accumulated user
@@ -669,8 +657,8 @@ func (s *Session) maintainKnnIndex() {
 	if len(rows) == 0 {
 		return
 	}
-	sort.Ints(rows)
-	rows = dedupSortedInts(rows)
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
 	s.knnIndex.ResetRows(rows)
 	if s.detect != nil {
 		s.detect.markTokenDirty(rows)

@@ -368,7 +368,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		Value *float64 `json:"value"`
 		Skip  bool     `json:"skip"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -152,12 +152,51 @@ func TestAnswerWithoutQuestion(t *testing.T) {
 	}
 }
 
+// TestAnswerBadJSON posts malformed and oversized bodies to a session
+// that waits on a question: each is refused with a 400 and leaves the
+// question pending, so a valid answer still goes through afterwards. The
+// oversized body is a well-formed skip padded past the 1 MiB cap, which
+// an unbounded decoder would accept.
 func TestAnswerBadJSON(t *testing.T) {
-	mux, _ := testShell(t, false)
+	mux, _ := testShell(t, false) // web user: iteration parks on questions
 	id := createSession(t, mux)
-	rec := doReq(t, mux, http.MethodPost, "/api/session/"+id+"/answer", `{`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad json status %d", rec.Code)
+	if rec := doReq(t, mux, http.MethodPost, "/api/session/"+id+"/iterate", ""); rec.Code != http.StatusAccepted {
+		t.Fatalf("iterate status %d", rec.Code)
+	}
+	waitQuestion := func() bool {
+		deadline := time.Now().Add(30 * time.Second)
+		for time.Now().Before(deadline) {
+			s := getState(t, mux, id)
+			if !s.Running {
+				return false
+			}
+			if s.Question != nil {
+				return true
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		t.Fatal("no question within 30 s")
+		return false
+	}
+	if !waitQuestion() {
+		t.Fatal("iteration ended without asking a question")
+	}
+	oversized := `{"skip":true,"pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	for name, body := range map[string]string{"bad json": `{`, "oversized": oversized} {
+		rec := doReq(t, mux, http.MethodPost, "/api/session/"+id+"/answer", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, rec.Code)
+		}
+	}
+	if rec := doReq(t, mux, http.MethodPost, "/api/session/"+id+"/answer", `{"skip":true}`); rec.Code != http.StatusNoContent {
+		t.Fatalf("valid answer after refused ones: status %d", rec.Code)
+	}
+	// Skip the rest so the iteration ends and nothing leaks.
+	for waitQuestion() {
+		rec := doReq(t, mux, http.MethodPost, "/api/session/"+id+"/answer", `{"skip":true}`)
+		if rec.Code != http.StatusNoContent && rec.Code != http.StatusConflict {
+			t.Fatalf("answer status %d", rec.Code)
+		}
 	}
 }
 
