@@ -194,8 +194,9 @@ func BenchmarkFig18_ComponentTime(b *testing.B) {
 }
 
 // annotateSession builds one D1 session at the given scale for the
-// benefit-annotation benchmark.
-func annotateSession(b *testing.B, scale float64, workers int) *pipeline.Session {
+// benefit-annotation benchmark and runs iters oracle-answered
+// iterations on it.
+func annotateSession(b *testing.B, scale float64, workers, iters int) *pipeline.Session {
 	b.Helper()
 	d := datagen.D1(datagen.Config{Scale: scale, Seed: 1})
 	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
@@ -203,12 +204,19 @@ func annotateSession(b *testing.B, scale float64, workers int) *pipeline.Session
 	if err != nil {
 		b.Fatal(err)
 	}
+	user := oracle.New(d.Truth, 1)
+	for i := 0; i < iters; i++ {
+		if _, err := s.RunIteration(user); err != nil {
+			b.Fatal(err)
+		}
+	}
 	return s
 }
 
 // BenchmarkAnnotate isolates the benefit-model hot path — pricing every
 // edge and vertex repair of the first iteration's ERG — at worker counts
-// 1 and 8. Both are bit-identical (cross-checked against the Workers1
+// 1 and 8, and of the third iteration's ERG at 1 (MidSession). Workers1
+// and Workers8 are bit-identical (cross-checked against the Workers1
 // edge benefits), so the only difference is wall-clock. evals/op
 // reports unique hypotheses priced (memo cache misses).
 func BenchmarkAnnotate(b *testing.B) {
@@ -223,7 +231,7 @@ func BenchmarkAnnotate(b *testing.B) {
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			s := annotateSession(b, scale, v.workers)
+			s := annotateSession(b, scale, v.workers, 0)
 			workers := v.workers
 			var evals int
 			b.ResetTimer()
@@ -255,6 +263,23 @@ func BenchmarkAnnotate(b *testing.B) {
 			b.ReportMetric(float64(evals), "evals/op")
 		})
 	}
+	// MidSession prices the ERG after two oracle iterations. Iteration
+	// 1's ERG, which Workers1 and Workers8 price, has no entity cluster
+	// of two tuples and no approved synonym class, so only this variant
+	// prices in-cluster cannot-links and approvals over existing classes.
+	b.Run("MidSession", func(b *testing.B) {
+		s := annotateSession(b, scale, 1, 2)
+		var evals int
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, n, err := s.BuildAnnotatedERG(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			evals = n
+		}
+		b.ReportMetric(float64(evals), "evals/op")
+	})
 }
 
 // BenchmarkIterationPhases runs a short cleaning session (four

@@ -276,6 +276,78 @@ func (b *ClusterBuilder) Build(extraConfirm, extraSplit []Pair) *Clusters {
 	return c
 }
 
+// SplitReplay partitions one base cluster under one extra cannot-link
+// by replaying the merge process over that cluster's tuples alone. It
+// is exact for a base cluster that no cannot-link endpoint touches:
+// every must-link or merge-list entry with one endpoint in such a
+// cluster has the other there too. Had the entry been unblocked, its
+// endpoints would share a cluster; had it been blocked, a cannot-link
+// endpoint would lie in the cluster. The cluster therefore never
+// interacts with the rest of the merge process, which the extra
+// cannot-link leaves as it was. A cluster a cannot-link touches gets no
+// replay: there a blocked entry can reach outside it, and a split can
+// unblock it.
+type SplitReplay struct {
+	touched   map[int]bool // base clusters holding a cannot-link endpoint
+	confirmed map[int][]Pair
+	sorted    map[int][]ScoredPair
+}
+
+// NewSplitReplay buckets the builder's must-links and merge-list
+// entries, each in list order, by the base cluster that holds both
+// endpoints; groupOf maps a tuple to its base cluster. An entry spanning
+// two clusters is dropped: by the argument above, both of them hold a
+// cannot-link endpoint, and the replay does not serve such clusters.
+func (b *ClusterBuilder) NewSplitReplay(groupOf map[dataset.TupleID]int) *SplitReplay {
+	r := &SplitReplay{touched: make(map[int]bool), confirmed: make(map[int][]Pair), sorted: make(map[int][]ScoredPair)}
+	for _, p := range b.split {
+		for _, id := range [2]dataset.TupleID{p.A, p.B} {
+			if gi, ok := groupOf[id]; ok {
+				r.touched[gi] = true
+			}
+		}
+	}
+	inside := func(p Pair) (int, bool) {
+		ga, okA := groupOf[p.A]
+		gb, okB := groupOf[p.B]
+		return ga, okA && okB && ga == gb
+	}
+	for _, p := range b.confirmed {
+		if gi, ok := inside(p); ok {
+			r.confirmed[gi] = append(r.confirmed[gi], p)
+		}
+	}
+	for _, sp := range b.sorted {
+		if gi, ok := inside(sp.Pair); ok {
+			r.sorted[gi] = append(r.sorted[gi], sp)
+		}
+	}
+	return r
+}
+
+// Touched reports whether one of the builder's cannot-links has an
+// endpoint in base cluster gi. Split declines such a cluster, and a
+// must-link across two clusters is their plain union only when neither
+// is touched (DESIGN.md §10, path 3).
+func (r *SplitReplay) Touched(gi int) bool { return r.touched[gi] }
+
+// Split returns the clusters that base cluster gi, whose sorted members
+// are given, falls into once the cannot-link p between two of them is
+// added, ordered and sorted as Clusters.Groups returns them. ok is false
+// when one of the builder's cannot-links has an endpoint in the
+// cluster; the caller must then rebuild the whole partition.
+func (r *SplitReplay) Split(gi int, members []dataset.TupleID, p Pair) (parts [][]dataset.TupleID, ok bool) {
+	if r.touched[gi] {
+		return nil, false
+	}
+	c := &Clusters{index: make(map[dataset.TupleID]int, len(members)), ids: members}
+	for i, id := range members {
+		c.index[id] = i
+	}
+	clusterInto(c, r.sorted[gi], r.confirmed[gi], []Pair{p})
+	return c.Groups(1), true
+}
+
 // ClusterOf returns all members of the tuple's entity, sorted.
 func (c *Clusters) ClusterOf(id dataset.TupleID) []dataset.TupleID {
 	i, ok := c.index[id]

@@ -162,18 +162,24 @@ func sortCandidates(cs []Candidate) {
 // smallest ("SIGMOD" beats "SIGMOD Conf." at equal frequency).
 type Standardizer struct {
 	parent map[string]string
-	freq   map[string]int
-	// canon caches Canonical results; invalidated by Approve. Canonical
-	// is called once per table cell during view building, so without the
-	// cache its class-scan cost dominates the whole pipeline.
+	// members holds, at its root, the sorted member list of every class
+	// of two or more values. A stored list is never modified — Approve
+	// stores a new merged list — so clones share the lists.
+	members map[string][]string
+	freq    map[string]int
+	// canon caches Canonical results; Approve deletes the entries of the
+	// two classes it merges. Canonical is called once per table cell
+	// during view building, so without the cache its election cost
+	// dominates the whole pipeline.
 	canon map[string]string
 }
 
 // NewStandardizer captures value frequencies from column col of t.
 func NewStandardizer(t *dataset.Table, col int) *Standardizer {
 	return &Standardizer{
-		parent: make(map[string]string),
-		freq:   t.DistinctStrings(col),
+		parent:  make(map[string]string),
+		members: make(map[string][]string),
+		freq:    t.DistinctStrings(col),
 	}
 }
 
@@ -198,7 +204,8 @@ func (s *Standardizer) find(v string) string {
 // writes whatsoever. A frozen standardizer is safe for concurrent
 // readers until the next Approve (which re-dirties the caches); the
 // benefit model freezes the session's standardizers before fanning
-// hypothetical-visualization pricing out across workers.
+// hypothetical-visualization pricing out across workers. It costs one
+// election per class: O(values + Σ class size²).
 func (s *Standardizer) Freeze() {
 	for v := range s.parent {
 		s.find(v)
@@ -211,8 +218,9 @@ func (s *Standardizer) Freeze() {
 	}
 }
 
-// Bytes estimates the standardizer's heap footprint (frequency, parent
-// and canonical maps), for the artifact cache's budget accounting.
+// Bytes estimates the standardizer's heap footprint (frequency, parent,
+// member-list and canonical maps), for the artifact cache's budget
+// accounting. A member list's strings share the parent map's bytes.
 func (s *Standardizer) Bytes() int64 {
 	var b int64
 	for v := range s.freq {
@@ -220,6 +228,9 @@ func (s *Standardizer) Bytes() int64 {
 	}
 	for v, p := range s.parent {
 		b += int64(len(v)+len(p)) + 48
+	}
+	for r, l := range s.members {
+		b += int64(len(r)) + 48 + 24 + 16*int64(len(l))
 	}
 	for v, c := range s.canon {
 		b += int64(len(v)+len(c)) + 48
@@ -229,7 +240,6 @@ func (s *Standardizer) Bytes() int64 {
 
 // Approve records that v1 and v2 are the same attribute entity.
 func (s *Standardizer) Approve(v1, v2 string) {
-	s.canon = nil
 	r1, r2 := s.find(v1), s.find(v2)
 	if r1 == r2 {
 		return
@@ -243,14 +253,44 @@ func (s *Standardizer) Approve(v1, v2 string) {
 	if _, ok := s.parent[r1]; !ok {
 		s.parent[r1] = r1
 	}
+	merged := mergeSorted(s.classMembers(r1), s.classMembers(r2))
+	delete(s.members, r2)
+	s.members[r1] = merged
+	for _, m := range merged {
+		delete(s.canon, m)
+	}
+}
+
+// mergeSorted merges two sorted, disjoint lists into a new one.
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // Clone returns an independent copy sharing the (immutable) frequency
-// map; the benefit model uses clones to price hypothetical approvals.
+// map and member lists, with an empty canonical cache; the benefit
+// model uses clones to price hypothetical approvals. A clone never
+// reads its source's cache, so approving on either leaves the other's
+// answers as they were.
 func (s *Standardizer) Clone() *Standardizer {
-	cp := &Standardizer{parent: make(map[string]string, len(s.parent)), freq: s.freq}
+	cp := &Standardizer{
+		parent:  make(map[string]string, len(s.parent)),
+		members: make(map[string][]string, len(s.members)),
+		freq:    s.freq,
+	}
 	for k, v := range s.parent {
 		cp.parent[k] = v
+	}
+	for k, v := range s.members {
+		cp.members[k] = v
 	}
 	return cp
 }
@@ -269,8 +309,7 @@ func (s *Standardizer) Canonical(v string) string {
 	if c, ok := s.canon[v]; ok {
 		return c
 	}
-	root := s.find(v)
-	members := s.classMembers(root)
+	members := s.classMembers(s.find(v))
 	best := v
 	bestSeen := false
 	if len(members) > 1 {
@@ -325,15 +364,13 @@ func betterGolden(a, b string, containment map[string]int, freq map[string]int) 
 	return better(a, b, freq)
 }
 
+// classMembers returns the sorted members of the class rooted at root.
+// The list is shared: callers must not modify it.
 func (s *Standardizer) classMembers(root string) []string {
-	out := []string{root}
-	for v := range s.parent {
-		if v != root && s.find(v) == root {
-			out = append(out, v)
-		}
+	if l, ok := s.members[root]; ok {
+		return l
 	}
-	sort.Strings(out)
-	return out
+	return []string{root}
 }
 
 func better(a, b string, freq map[string]int) bool {
@@ -369,18 +406,9 @@ func (s *Standardizer) Apply(t *dataset.Table, col int) int {
 // Classes returns the non-trivial synonym classes (size >= 2), each
 // sorted, deterministically ordered — for rendering and tests.
 func (s *Standardizer) Classes() [][]string {
-	roots := make(map[string][]string)
-	for v := range s.parent {
-		r := s.find(v)
-		roots[r] = append(roots[r], v)
-	}
 	var out [][]string
-	for _, members := range roots {
-		if len(members) < 2 {
-			continue
-		}
-		sort.Strings(members)
-		out = append(out, members)
+	for _, l := range s.members {
+		out = append(out, append([]string(nil), l...))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out

@@ -1,7 +1,10 @@
 package goldenrec
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -256,5 +259,119 @@ func TestFrozenStandardizerConcurrentReads(t *testing.T) {
 	s.Freeze()
 	if !s.SameClass("ICDE", "PVLDB") {
 		t.Fatal("post-freeze Approve lost")
+	}
+}
+
+// scanMembers is the class-member lookup the member lists replaced: a
+// scan of the whole parent map, kept here as their reference.
+func scanMembers(s *Standardizer, root string) []string {
+	out := []string{root}
+	for v := range s.parent {
+		if v != root && s.find(v) == root {
+			out = append(out, v)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestStandardizerMatchesReplay drives standardizers through random
+// interleavings of Approve, Canonical, Freeze and Clone over values that
+// share tokens. After every step each value's Canonical must equal that
+// of a fresh standardizer replaying the same approvals, every class's
+// member list must equal a scan of the parent map, and a clone approved
+// once more must match its own replay while its source's answers stay
+// as they were. A clone that read stale canonicals passed the pricing
+// suite, whose full-rebuild reference clones and approves the same way;
+// this is the test that catches it.
+func TestStandardizerMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tokens := []string{"sigmod", "acm", "conf", "vldb", "pvldb", "icde", "intl", "data", "'13"}
+	for trial := 0; trial < 30; trial++ {
+		tbl := dataset.NewTable(dataset.Schema{{Name: "V", Kind: dataset.String}})
+		var values []string
+		seen := map[string]bool{}
+		for i := 0; i < 6+rng.Intn(14); i++ {
+			words := make([]string, 1+rng.Intn(3))
+			for w := range words {
+				words[w] = tokens[rng.Intn(len(tokens))]
+			}
+			v := strings.Join(words, " ")
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				tbl.MustAppend([]dataset.Value{dataset.Str(v)})
+			}
+			if !seen[v] {
+				seen[v] = true
+				values = append(values, v)
+			}
+		}
+		values = append(values, "unseen value") // approvable, never in the table
+		pick := func() string { return values[rng.Intn(len(values))] }
+
+		replay := func(approvals [][2]string) *Standardizer {
+			ref := NewStandardizer(tbl, 0)
+			for _, a := range approvals {
+				ref.Approve(a[0], a[1])
+			}
+			return ref
+		}
+		answers := func(s *Standardizer) map[string]string {
+			out := map[string]string{}
+			for _, v := range values {
+				out[v] = s.Canonical(v)
+			}
+			return out
+		}
+		check := func(step string, s *Standardizer, approvals [][2]string) {
+			t.Helper()
+			if got, want := answers(s), answers(replay(approvals)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s after %v: canonicals %v, replay %v", trial, step, approvals, got, want)
+			}
+			for _, v := range values {
+				root := s.find(v)
+				if got, want := s.classMembers(root), scanMembers(s, root); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, %s: class of %q lists %q, parent map holds %q", trial, step, v, got, want)
+				}
+			}
+		}
+
+		s := NewStandardizer(tbl, 0)
+		var approvals [][2]string
+		var source *Standardizer // the standardizer s was last cloned from
+		var sourceAnswers map[string]string
+		for step := 0; step < 25; step++ {
+			var op string
+			switch rng.Intn(5) {
+			case 0, 1:
+				op = "approve"
+				a := [2]string{pick(), pick()}
+				s.Approve(a[0], a[1])
+				approvals = append(approvals, a)
+			case 2:
+				op = "canonical"
+				s.Canonical(pick())
+			case 3:
+				op = "freeze"
+				s.Freeze()
+			case 4:
+				op = "clone"
+				source, sourceAnswers = s, answers(s)
+				s = s.Clone()
+			}
+			check(op, s, approvals)
+
+			// A clone approved once more answers as its own replay, and
+			// its source as before.
+			extra := [2]string{pick(), pick()}
+			c := s.Clone()
+			c.Approve(extra[0], extra[1])
+			check(op+", clone approved once more", c, append(approvals[:len(approvals):len(approvals)], extra))
+			check(op+", source of that clone", s, approvals)
+			if source != nil {
+				if got := answers(source); !reflect.DeepEqual(got, sourceAnswers) {
+					t.Fatalf("trial %d, %s: approving on a clone moved its source's answers %v to %v", trial, op, sourceAnswers, got)
+				}
+			}
+		}
 	}
 }

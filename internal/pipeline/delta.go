@@ -24,11 +24,14 @@ import (
 //   - an A-approval rewrites only the clusters whose rows carry a value
 //     of the two merged synonym classes, found through per-column
 //     value→clusters posting lists, and only in that column;
-//   - a T-answer rebuilds the entity partition (cheap: one union-find
-//     pass over the shared merge list) and diffs it against the base
-//     partition — only base clusters that are no longer intact are
-//     rebuilt in full; the posting-dirty clusters of the implied
-//     A-equations re-resolve just those equations' columns.
+//   - a T-answer changes the partition only where a fast path proves
+//     it does (DESIGN.md §10; a cannot-link inside a cluster replays
+//     just that cluster's merges), or else rebuilds the entity
+//     partition (one union-find pass over the shared merge list) and
+//     diffs it against the base partition; only base clusters that
+//     are no longer intact are rebuilt in full, and the posting-dirty
+//     clusters of the implied A-equations re-resolve just those
+//     equations' columns.
 //
 // The partition diff is sound because every tuple belongs to exactly one
 // base cluster: if a hypothetical cluster mixed tuples of an intact base
@@ -74,12 +77,11 @@ type deltaPricer struct {
 	posting map[string]map[string][]int
 	rawRep  map[string]map[string]string
 
-	// splitTouched[gi] marks base groups containing an endpoint of a
-	// user cannot-link. T-hypothesis fast paths (see price) are only
-	// sound for groups no cannot-link touches.
-	splitTouched []bool
-
-	builder  *em.ClusterBuilder
+	builder *em.ClusterBuilder
+	// replay also knows which base groups hold an endpoint of a user
+	// cannot-link (Touched); the T fast paths 3 and 4 (see priceVia)
+	// are only sound for groups no cannot-link touches.
+	replay   *em.SplitReplay
 	yNumeric bool
 }
 
@@ -156,60 +158,74 @@ func (s *Session) newDeltaPricer() *deltaPricer {
 		p.posting[name] = lists
 	}
 
-	p.splitTouched = make([]bool, len(p.groups))
-	for _, sp := range s.split {
-		if gi, ok := p.groupOf[sp.A]; ok {
-			p.splitTouched[gi] = true
-		}
-		if gi, ok := p.groupOf[sp.B]; ok {
-			p.splitTouched[gi] = true
-		}
-	}
-
 	p.builder = em.NewClusterBuilder(s.table, s.mergeList, em.ClusterConfig{
 		Threshold: s.cfg.ClusterThreshold,
 		Confirmed: s.confirmed,
 		Split:     s.split,
 	})
+	p.replay = p.builder.NewSplitReplay(p.groupOf)
 	return p
 }
+
+// pricePath names the way priceVia evaluated a hypothesis. DESIGN.md
+// §10 numbers the partition-exact T fast paths 1–4.
+type pricePath int
+
+const (
+	pathCell          pricePath = iota // M/O override of one cluster's measure cell
+	pathApprove                        // A-approval: the posting-dirty clusters' A-column
+	pathSplitApart                     // 1: cannot-link across two base clusters
+	pathConfirmInside                  // 2: must-link inside one base cluster
+	pathConfirmAcross                  // 3: must-link across two untouched clusters
+	pathSplitInside                    // 4: cannot-link inside an untouched cluster, replayed alone
+	pathRebuild                        // any other T-answer: partition rebuild and diff
+	numPricePaths
+)
 
 // price evaluates one (canonicalized) hypothesis incrementally. ok=false
 // requests the full-rebuild fallback.
 func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
+	dist, _, ok := p.priceVia(h)
+	return dist, ok
+}
+
+// priceVia is price, also naming the path it took.
+func (p *deltaPricer) priceVia(h benefit.Hypothesis) (float64, pricePath, bool) {
 	switch h.Kind {
 	case benefit.MImpute, benefit.ORepair:
 		// Guards mirror hypotheticalVis: an inapplicable repair prices as
 		// zero on the full path (nil hypothetical chart).
 		if _, ok := p.s.table.RowIndex(h.ID); !ok {
-			return 0, true
+			return 0, pathCell, true
 		}
 		if !p.yNumeric {
-			return 0, true
+			return 0, pathCell, true
 		}
 		gi, ok := p.groupOf[h.ID]
 		if !ok {
-			return 0, false
+			return 0, pathCell, false
 		}
 		ov := p.s.table.Overlay()
 		if ov.Set(h.ID, p.s.yCol, dataset.Num(h.Value)) != nil {
-			return 0, false
+			return 0, pathCell, false
 		}
-		return p.eval(nil, nil, []int{gi}, []int{p.s.yCol}, p.s.std, ov)
+		dist, ok := p.eval(nil, nil, []int{gi}, []int{p.s.yCol}, p.s.std, ov)
+		return dist, pathCell, ok
 
 	case benefit.AApprove:
 		if p.s.std[h.Column] == nil {
-			return 0, true // full path: nil hypothetical chart
+			return 0, pathApprove, true // full path: nil hypothetical chart
 		}
 		changes := []stdChange{{col: p.s.table.ColumnIndex(h.Column), name: h.Column, v1: h.V1, v2: h.V2}}
 		dirty, ok := p.postingDirty(changes)
 		if !ok {
-			return 0, false
+			return 0, pathApprove, false
 		}
-		return p.eval(nil, nil, dirty, changeCols(changes), p.s.stdOverride(changes), nil)
+		dist, ok := p.eval(nil, nil, dirty, changeCols(changes), p.s.stdOverride(changes), nil)
+		return dist, pathApprove, ok
 
 	case benefit.TConfirm, benefit.TSplit:
-		// Fast paths that skip the union-find rebuild entirely. Each is
+		// Fast paths that skip the full union-find rebuild. Each is
 		// provably partition-exact (see DESIGN.md §10 for the arguments;
 		// the pricer-equivalence suite enforces bit-identity):
 		//
@@ -229,17 +245,28 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		//     additional merge into the combined group would need a
 		//     blocked/unblocked decision to flip, which requires a
 		//     cannot-link endpoint inside one of the two groups.
+		//   - a cannot-link inside a base cluster no cannot-link touches
+		//     splits only that cluster, into the parts a replay of the
+		//     merges inside it yields (em.SplitReplay): nothing inside
+		//     the cluster interacts with anything outside it.
 		giA, okA := p.groupOf[h.Pair.A]
 		giB, okB := p.groupOf[h.Pair.B]
 		if okA && okB {
-			if h.Kind == benefit.TSplit && giA != giB {
-				return p.eval(nil, nil, nil, nil, p.s.std, nil)
+			if h.Kind == benefit.TSplit {
+				if giA != giB {
+					dist, ok := p.eval(nil, nil, nil, nil, p.s.std, nil)
+					return dist, pathSplitApart, ok
+				}
+				if parts, ok := p.replay.Split(giA, p.groups[giA], h.Pair); ok {
+					dist, ok := p.eval([]int{giA}, parts, nil, nil, p.s.std, nil)
+					return dist, pathSplitInside, ok
+				}
 			}
 			if h.Kind == benefit.TConfirm {
 				changes := p.s.tPairChanges(h.Pair)
 				postDirty, ok := p.postingDirty(changes)
 				if !ok {
-					return 0, false
+					return 0, pathConfirmInside, false
 				}
 				std := p.s.std
 				if override := p.s.stdOverride(changes); override != nil {
@@ -247,9 +274,10 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 				}
 				cols := changeCols(changes)
 				if giA == giB {
-					return p.eval(nil, nil, postDirty, cols, std, nil)
+					dist, ok := p.eval(nil, nil, postDirty, cols, std, nil)
+					return dist, pathConfirmInside, ok
 				}
-				if !p.splitTouched[giA] && !p.splitTouched[giB] {
+				if !p.replay.Touched(giA) && !p.replay.Touched(giB) {
 					merged := make([]dataset.TupleID, 0, len(p.groups[giA])+len(p.groups[giB]))
 					merged = append(merged, p.groups[giA]...)
 					merged = append(merged, p.groups[giB]...)
@@ -260,7 +288,8 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 							retouched = append(retouched, gi)
 						}
 					}
-					return p.eval([]int{giA, giB}, [][]dataset.TupleID{merged}, retouched, cols, std, nil)
+					dist, ok := p.eval([]int{giA, giB}, [][]dataset.TupleID{merged}, retouched, cols, std, nil)
+					return dist, pathConfirmAcross, ok
 				}
 			}
 		}
@@ -275,7 +304,7 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		}
 		postDirty, ok := p.postingDirty(changes)
 		if !ok {
-			return 0, false
+			return 0, pathRebuild, false
 		}
 		std := p.s.std
 		if override := p.s.stdOverride(changes); override != nil {
@@ -299,7 +328,7 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 		for _, id := range dirtyTuples {
 			root, ok := cl.Root(id)
 			if !ok {
-				return 0, false
+				return 0, pathRebuild, false
 			}
 			if _, seen := byRoot[root]; !seen {
 				rootOrder = append(rootOrder, root)
@@ -320,10 +349,11 @@ func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
 				retouched = append(retouched, gi)
 			}
 		}
-		return p.eval(dissolved, regrouped, retouched, changeCols(changes), std, nil)
+		dist, ok := p.eval(dissolved, regrouped, retouched, changeCols(changes), std, nil)
+		return dist, pathRebuild, ok
 
 	default:
-		return 0, false
+		return 0, pathRebuild, false
 	}
 }
 
@@ -389,10 +419,19 @@ func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retou
 		}
 	}
 	sort.Slice(added, func(a, b int) bool { return added[a].Rank < added[b].Rank })
-	// The estimator's sum: registration order, from the first term.
-	total := p.bases[0].Distance(p.execs[0].Eval(ranks, added))
-	for v := 1; v < len(p.execs); v++ {
-		total += p.bases[v].Distance(p.execs[v].Eval(ranks, added))
+	// The estimator's sum: registration order, from the first term. A
+	// NaN mark declines the hypothesis to the full rebuild.
+	var total float64
+	for v, exec := range p.execs {
+		chart, ok := exec.Eval(ranks, added)
+		if !ok {
+			return 0, false
+		}
+		if d := p.bases[v].Distance(chart); v == 0 {
+			total = d
+		} else {
+			total += d
+		}
 	}
 	return total, true
 }

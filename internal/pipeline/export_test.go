@@ -6,6 +6,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"visclean/internal/benefit"
 	"visclean/internal/em"
@@ -13,35 +14,70 @@ import (
 	"visclean/internal/vis"
 )
 
+// PriceCounts tallies one or more PriceEveryHypothesis passes.
+type PriceCounts struct {
+	Priced, Declined int
+	paths            [numPricePaths]int // accepted prices per pricer path
+}
+
+// Add accumulates another pass.
+func (c *PriceCounts) Add(o PriceCounts) {
+	c.Priced += o.Priced
+	c.Declined += o.Declined
+	for i, n := range o.paths {
+		c.paths[i] += n
+	}
+}
+
+// SplitInside counts the in-cluster cannot-links priced by replaying
+// their cluster alone (DESIGN.md §10, path 4).
+func (c PriceCounts) SplitInside() int { return c.paths[pathSplitInside] }
+
+func (c PriceCounts) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d hypotheses priced both ways, %d declined; by path:", c.Priced, c.Declined)
+	for path, n := range c.paths {
+		fmt.Fprintf(&b, " %s %d", pricePath(path), n)
+	}
+	return b.String()
+}
+
+func (p pricePath) String() string {
+	return [numPricePaths]string{"cell", "approve", "split-apart", "confirm-inside",
+		"confirm-across", "split-inside", "rebuild"}[p]
+}
+
 // PriceEveryHypothesis prices every hypothesis of the session's current
 // ERG twice, through the delta pricer and through the full rebuild the
-// estimator falls back to, and reports how many the pricer accepted and
-// declined. err names the first accepted price whose bits differ from
-// the full path's. Session state is left as it was.
-func PriceEveryHypothesis(s *Session) (priced, declined int, err error) {
+// estimator falls back to, and counts the prices the pricer accepted,
+// by path, and declined. err names the first accepted price whose bits
+// differ from the full path's. Session state is left as it was.
+func PriceEveryHypothesis(s *Session) (PriceCounts, error) {
+	var c PriceCounts
 	bases, err := s.CurrentVisAll()
 	if err != nil {
-		return 0, 0, err
+		return c, err
 	}
 	g := s.buildERG(s.detectQuestions())
 	s.freezeShared()
 	p := s.newDeltaPricer()
 	if p == nil {
-		return 0, 0, fmt.Errorf("newDeltaPricer returned nil for executable queries")
+		return c, fmt.Errorf("newDeltaPricer returned nil for executable queries")
 	}
 	for _, h := range collectHypotheses(g) {
 		full := fullPrice(s, h, bases)
-		inc, ok := p.price(h)
+		inc, path, ok := p.priceVia(h)
 		if !ok {
-			declined++
+			c.Declined++
 			continue
 		}
-		priced++
+		c.Priced++
+		c.paths[path]++
 		if math.Float64bits(inc) != math.Float64bits(full) {
-			return priced, declined, fmt.Errorf("%v %+v: incremental %v != full %v", h.Kind, h, inc, full)
+			return c, fmt.Errorf("%v via %v %+v: incremental %v != full %v", h.Kind, path, h, inc, full)
 		}
 	}
-	return priced, declined, nil
+	return c, nil
 }
 
 // fullPrice is the estimator's full-rebuild price of one hypothesis:

@@ -25,11 +25,11 @@ func checkPricingAlongSession(t *testing.T, selector SelectorKind, seed int64) {
 	s, user := newDetSession(t, selector, seed, 1)
 	priced := 0
 	for i := 0; i < 4; i++ {
-		p, _, err := PriceEveryHypothesis(s)
+		c, err := PriceEveryHypothesis(s)
 		if err != nil {
 			t.Fatalf("%s seed %d iteration %d: %v", selector, seed, i+1, err)
 		}
-		priced += p
+		priced += c.Priced
 		rep, err := s.RunIteration(user)
 		if err != nil {
 			t.Fatal(err)

@@ -14,10 +14,12 @@ import (
 // first three iterations' ERGs both incrementally and via full rebuild,
 // and requires identical bits wherever the pricer accepts — plus that it
 // accepts the overwhelming majority (the fast path must actually be the
-// common path for the optimization to mean anything). The workloads
-// cover every column-granular delta shape: GROUP and BIN axes, WHERE
-// predicates over A-columns and numeric columns, all three datasets, and
-// the multi-view dashboard priced as its per-view sum.
+// common path for the optimization to mean anything) and that every
+// case prices an in-cluster cannot-link by replaying its cluster alone.
+// The workloads cover every column-granular delta shape: GROUP and BIN
+// axes, WHERE predicates over A-columns and numeric columns, all three
+// datasets, and the multi-view dashboard priced as its per-view sum.
+// The log line gives the counts per pricer path.
 func TestIncrementalPricingBitIdentical(t *testing.T) {
 	task := func(id string) string {
 		tk, err := experiments.TaskByID(id)
@@ -57,14 +59,13 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			user := oracle.New(d.Truth, tc.seed)
-			priced, declined := 0, 0
+			var counts pipeline.PriceCounts
 			for iter := 0; iter < 3; iter++ {
-				p, dc, err := pipeline.PriceEveryHypothesis(s)
+				c, err := pipeline.PriceEveryHypothesis(s)
 				if err != nil {
 					t.Fatalf("iteration %d: %v", iter, err)
 				}
-				priced += p
-				declined += dc
+				counts.Add(c)
 				rep, err := s.RunIteration(user)
 				if err != nil {
 					t.Fatal(err)
@@ -73,14 +74,17 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 					break
 				}
 			}
-			if priced == 0 {
+			if counts.Priced == 0 {
 				t.Fatal("delta pricer accepted no hypotheses")
 			}
-			if declined > priced/10 {
+			if counts.Declined > counts.Priced/10 {
 				t.Errorf("delta pricer declined %d of %d hypotheses; fast path is not the common path",
-					declined, priced+declined)
+					counts.Declined, counts.Priced+counts.Declined)
 			}
-			t.Logf("%d hypotheses priced both ways, %d declined", priced, declined)
+			if counts.SplitInside() == 0 {
+				t.Error("no in-cluster cannot-link was priced by replaying its cluster")
+			}
+			t.Log(counts)
 		})
 	}
 }

@@ -242,42 +242,52 @@ func matches(v dataset.Value, p Predicate) bool {
 	return false
 }
 
+// sortPoints applies the query's SORT clause: a stable sort under
+// comparePoints, so points the comparator ties keep execution order.
 func (q *Query) sortPoints(d *vis.Data) {
 	if q.Sort == AxisNone {
 		return
 	}
-	cmp := func(pa, pb vis.Point) int {
-		if q.Sort == AxisY {
-			switch {
-			case pa.Y < pb.Y:
-				return -1
-			case pa.Y > pb.Y:
-				return 1
-			}
-			return 0
-		}
-		if pa.HasX && pb.HasX {
-			switch {
-			case pa.X < pb.X:
-				return -1
-			case pa.X > pb.X:
-				return 1
-			}
-			return 0
-		}
+	sort.SliceStable(d.Points, func(a, b int) bool { return q.comparePoints(d.Points[a], d.Points[b]) < 0 })
+}
+
+// comparePoints is the chart order of the SORT clause, shared by Execute
+// and the incremental executor's merge: the sort axis in the query's
+// direction, ties broken by ascending label whatever the direction. It
+// returns 0 for every pair under SORT none. A NaN Y compares equal to
+// everything, so with NaN marks this is not a strict weak order.
+func (q *Query) comparePoints(pa, pb vis.Point) int {
+	if q.Sort == AxisNone {
+		return 0
+	}
+	var c int
+	switch {
+	case q.Sort == AxisY:
+		c = cmpFloat(pa.Y, pb.Y)
+	case pa.HasX && pb.HasX:
+		c = cmpFloat(pa.X, pb.X)
+	default:
+		c = strings.Compare(pa.Label, pb.Label)
+	}
+	if c == 0 {
 		return strings.Compare(pa.Label, pb.Label)
 	}
-	sort.SliceStable(d.Points, func(a, b int) bool {
-		c := cmp(d.Points[a], d.Points[b])
-		if c == 0 {
-			// Deterministic tiebreak independent of sort direction.
-			return d.Points[a].Label < d.Points[b].Label
-		}
-		if q.SortDesc {
-			return c > 0
-		}
-		return c < 0
-	})
+	if q.SortDesc {
+		return -c
+	}
+	return c
+}
+
+// cmpFloat orders two floats with -0 equal to +0 and NaN equal to
+// everything, as the < and > operators do.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // ReplaceDatasetName returns a copy of the query with FROM rewritten;

@@ -1,9 +1,10 @@
 package vql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"visclean/internal/dataset"
 	"visclean/internal/vis"
@@ -15,9 +16,12 @@ import (
 // added rows) delta instead of a full re-execution. The contract is
 // bit-identity: Eval must return exactly the chart Execute would produce
 // over the equivalent full row set — same points, same float bits, same
-// order. Everything below is therefore arranged so that every float
-// accumulation (per-group aggregation, first-appearance ordering,
-// sorting) happens through the same code in the same order as Execute.
+// order. Every float accumulation (per-group aggregation) therefore runs
+// through the same code in the same order as Execute, and every ordering
+// decision (appearance order, the SORT comparator, LIMIT) reproduces
+// Execute's: the chart order is the comparator, then appearance order,
+// which is exactly what Execute's stable sort of appearance-ordered
+// groups yields.
 
 // IncRow is one logical row of the view the incremental executor runs
 // over. Rank is the row's stable order key: rows execute in ascending
@@ -47,30 +51,38 @@ type contribRef struct {
 	y    dataset.Value
 }
 
-// keyState is the materialized state of one group or bin.
-type keyState struct {
-	contribs  []contribRef // ascending rank = execution order
-	firstRank int64        // rank of the first contributor (appearance order)
-	bin       int64
-	y         float64
-	ok        bool
+// mark is one group's or bin's folded aggregate and the keys that place
+// it in the chart: its label, its bin id and its first contributing rank.
+type mark struct {
+	label string // group label, or the bin's "[lo,hi)" label
+	bin   int64
+	first int64 // rank of the first contributor (appearance order)
+	y     float64
+	ok    bool // the group draws a mark
 }
 
-func (k *keyState) fold(agg Agg) {
-	var st aggState
-	for _, c := range k.contribs {
-		st.add(c.y)
-	}
-	k.y, k.ok = st.result(agg)
-	if len(k.contribs) > 0 {
-		k.firstRank = k.contribs[0].rank
-	}
+// keyState is one base group or bin.
+type keyState struct {
+	mark
+	contribs []contribRef // ascending rank = execution order
+	pos      int          // index in Incremental.sorted; -1 without a mark
+}
+
+// refold is one group or bin a delta touches, re-folded for one Eval
+// call: a dirty base state, or (base == nil) a group the delta creates.
+type refold struct {
+	mark
+	base *keyState
+	adds []contribRef // ascending rank
 }
 
 // Incremental evaluates one query over a registered base row set plus
-// per-call deltas. Construction costs one full pass; Eval costs
-// O(delta + groups). An Incremental is immutable after construction, so
-// concurrent Eval calls are safe.
+// per-call deltas. Construction costs one full pass. For GROUP and BIN,
+// Eval costs the delta's rows and the touched groups' contributors plus
+// the LIMIT points it emits: it re-folds only the dirty and new groups,
+// sorts just those and merges them into the base marks, presorted in
+// final chart order, stopping at LIMIT. An Incremental is immutable
+// after construction, so concurrent Eval calls are safe.
 type Incremental struct {
 	q     *Query
 	xi    int
@@ -80,22 +92,24 @@ type Incremental struct {
 	rows    []contrib
 	rankPos map[int64]int
 
-	keys     map[string]*keyState // TransformGroup
-	bins     map[int64]*keyState  // TransformBin
-	keyOrder []*keyState          // appearance order (group) / bin order (bin)
-	labelOf  map[*keyState]string // group label per state
+	keys map[string]*keyState // TransformGroup
+	bins map[int64]*keyState  // TransformBin
+	// sorted holds the base states that draw a mark, in final chart
+	// order: the query's comparator, then appearance order (first
+	// contributing rank for GROUP, bin id for BIN).
+	sorted []*keyState
 
-	// basePts is the sorted+limited base chart, computed once at
-	// construction through the general Eval path. The empty-delta fast
-	// path (Base, and every hypothesis-decline fallback) copies it
-	// instead of re-walking keyOrder and re-folding groups.
-	basePts  []vis.Point
-	baseDone bool
+	// basePts is the base chart, computed once at construction. The
+	// empty-delta path (Base, and every price whose delta is empty)
+	// copies it.
+	basePts []vis.Point
 }
 
 // NewIncremental validates the query against the schema and registers
 // the base rows, which must arrive in strictly ascending Rank order (the
-// order Execute would scan them in).
+// order Execute would scan them in). It fails when a base mark is NaN
+// (+Inf and -Inf summed): the chart order is then not a strict weak
+// order, and no merge can reproduce Execute's stable sort.
 func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Incremental, error) {
 	if err := q.Validate(schema); err != nil {
 		return nil, err
@@ -120,51 +134,124 @@ func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Increment
 		inc.rankPos[r.Rank] = i
 	}
 
-	switch q.Transform {
-	case TransformGroup:
-		inc.keys = make(map[string]*keyState)
-		inc.labelOf = make(map[*keyState]string)
-		for _, c := range inc.rows {
-			if !c.routed {
-				continue
-			}
-			st, exists := inc.keys[c.key]
-			if !exists {
-				st = &keyState{}
-				inc.keys[c.key] = st
-				inc.labelOf[st] = c.key
-				inc.keyOrder = append(inc.keyOrder, st)
-			}
-			st.contribs = append(st.contribs, contribRef{rank: c.rank, y: c.y})
-		}
-		for _, st := range inc.keyOrder {
-			st.fold(q.Agg)
-		}
-	case TransformBin:
-		inc.bins = make(map[int64]*keyState)
-		for _, c := range inc.rows {
-			if !c.routed {
-				continue
-			}
-			st, exists := inc.bins[c.bin]
-			if !exists {
-				st = &keyState{bin: c.bin}
-				inc.bins[c.bin] = st
-				inc.keyOrder = append(inc.keyOrder, st)
-			}
-			st.contribs = append(st.contribs, contribRef{rank: c.rank, y: c.y})
-		}
-		sort.Slice(inc.keyOrder, func(a, b int) bool { return inc.keyOrder[a].bin < inc.keyOrder[b].bin })
-		for _, st := range inc.keyOrder {
-			st.fold(q.Agg)
-		}
+	if q.Transform == TransformNone {
+		data := &vis.Data{Points: inc.evalNone(nil, nil)}
+		q.sortPoints(data)
+		inc.basePts = limitPoints(data.Points, q.Limit)
+		return inc, nil
 	}
-	// Materialize the base chart through the general path (baseDone is
-	// still false here, so Eval takes the full walk), then arm the
-	// empty-delta shortcut.
-	inc.basePts = inc.Eval(nil, nil).Points
-	inc.baseDone = true
+
+	// Appearance order: first contributing rank for GROUP, bin id for BIN.
+	var order []*keyState
+	if q.Transform == TransformGroup {
+		inc.keys = make(map[string]*keyState)
+	} else {
+		inc.bins = make(map[int64]*keyState)
+	}
+	for _, c := range inc.rows {
+		if !c.routed {
+			continue
+		}
+		st := inc.stateOf(&c)
+		if st == nil {
+			st = &keyState{mark: inc.newMark(&c), pos: -1}
+			if q.Transform == TransformGroup {
+				inc.keys[c.key] = st
+			} else {
+				inc.bins[c.bin] = st
+			}
+			order = append(order, st)
+		}
+		st.contribs = append(st.contribs, contribRef{rank: c.rank, y: c.y})
+	}
+	if q.Transform == TransformBin {
+		slices.SortFunc(order, func(a, b *keyState) int { return cmp.Compare(a.bin, b.bin) })
+	}
+	for _, st := range order {
+		inc.fold(&st.mark, st.contribs, nil, nil)
+		if !st.ok {
+			continue
+		}
+		if math.IsNaN(st.y) {
+			return nil, fmt.Errorf("vql: group %q aggregates to NaN, which has no place in the chart order", st.label)
+		}
+		inc.sorted = append(inc.sorted, st)
+	}
+	// Execute's second stable sort, over appearance-ordered input.
+	slices.SortStableFunc(inc.sorted, func(a, b *keyState) int {
+		return q.comparePoints(inc.point(&a.mark), inc.point(&b.mark))
+	})
+	for i, st := range inc.sorted {
+		st.pos = i
+	}
+	inc.basePts, _ = inc.evalKeyed(nil, nil)
 	return inc, nil
+}
+
+// newMark starts the state of the group or bin a routed contribution
+// opens; the bin label is formatted once here, not per Eval.
+func (inc *Incremental) newMark(c *contrib) mark {
+	if inc.q.Transform == TransformGroup {
+		return mark{label: c.key}
+	}
+	lo := float64(c.bin) * inc.q.BinInterval
+	return mark{label: binLabel(lo, lo+inc.q.BinInterval), bin: c.bin}
+}
+
+// point is the chart point of a mark, built exactly as Execute builds it.
+func (inc *Incremental) point(m *mark) vis.Point {
+	if inc.q.Transform == TransformGroup {
+		return vis.Point{Label: m.label, Y: m.y}
+	}
+	return vis.Point{Label: m.label, X: float64(m.bin) * inc.q.BinInterval, HasX: true, Y: m.y}
+}
+
+// compareMarks orders two marks as the final chart does: the query's
+// comparator, then appearance order. Appearance keys are unique per
+// group, so the order is total.
+func (inc *Incremental) compareMarks(a, b *mark) int {
+	if c := inc.q.comparePoints(inc.point(a), inc.point(b)); c != 0 {
+		return c
+	}
+	if inc.q.Transform == TransformGroup {
+		return cmp.Compare(a.first, b.first)
+	}
+	return cmp.Compare(a.bin, b.bin)
+}
+
+// fold streams a group's surviving base contributors and its added ones,
+// merged in ascending rank order, through one aggState: the additions
+// Execute makes, in its order, so the float bits agree. rm is sorted and
+// removes by rank from base only. A group left without contributors
+// draws no mark.
+func (inc *Incremental) fold(m *mark, base, adds []contribRef, rm []int64) {
+	var st aggState
+	seen := false
+	add := func(c contribRef) {
+		if !seen {
+			m.first, seen = c.rank, true
+		}
+		st.add(c.y)
+	}
+	j, r := 0, 0
+	for _, c := range base {
+		for j < len(adds) && adds[j].rank < c.rank {
+			add(adds[j])
+			j++
+		}
+		for r < len(rm) && rm[r] < c.rank {
+			r++
+		}
+		if r < len(rm) && rm[r] == c.rank {
+			continue
+		}
+		add(c)
+	}
+	for ; j < len(adds); j++ {
+		add(adds[j])
+	}
+	m.y, m.ok = st.result(inc.q.Agg)
+	m.ok = m.ok && seen
 }
 
 // contribution resolves one row against the query, mirroring Execute's
@@ -214,36 +301,44 @@ func (inc *Incremental) contribution(r IncRow) contrib {
 // positions. added must be in ascending rank order; an added rank may
 // reuse a removed one (a merged cluster inherits the smaller first id).
 // The result is bit-identical to Execute over the equivalent view.
-func (inc *Incremental) Eval(removed []int64, added []IncRow) *vis.Data {
-	data := &vis.Data{Type: inc.q.Chart, XField: inc.q.X, YField: inc.q.Y}
+// ok is false when a re-folded group's mark is NaN: the caller must
+// then execute the view in full.
+func (inc *Incremental) Eval(removed []int64, added []IncRow) (data *vis.Data, ok bool) {
+	data = &vis.Data{Type: inc.q.Chart, XField: inc.q.X, YField: inc.q.Y}
 
-	// Empty delta: the answer is the precomputed base chart. Copying the
-	// point slice keeps the result as independent as the general path's
-	// (callers may mutate it) while skipping the dirty/folded/live maps
-	// and the keyOrder walk entirely.
-	if len(removed) == 0 && len(added) == 0 && inc.baseDone {
+	// Empty delta: the answer is the precomputed base chart, copied so
+	// callers may mutate it.
+	if len(removed) == 0 && len(added) == 0 {
 		if len(inc.basePts) > 0 {
 			data.Points = append([]vis.Point(nil), inc.basePts...)
 		}
-		return data
+		return data, true
 	}
 
-	switch inc.q.Transform {
-	case TransformNone:
+	if inc.q.Transform == TransformNone {
 		data.Points = inc.evalNone(removed, added)
-	case TransformGroup, TransformBin:
-		data.Points = inc.evalKeyed(removed, added)
+		inc.q.sortPoints(data)
+		data.Points = limitPoints(data.Points, inc.q.Limit)
+		return data, true
 	}
-
-	inc.q.sortPoints(data)
-	if inc.q.Limit > 0 && len(data.Points) > inc.q.Limit {
-		data.Points = data.Points[:inc.q.Limit]
+	if data.Points, ok = inc.evalKeyed(removed, added); !ok {
+		return nil, false
 	}
-	return data
+	return data, true
 }
 
 // Base returns the chart of the unmodified base row set.
-func (inc *Incremental) Base() *vis.Data { return inc.Eval(nil, nil) }
+func (inc *Incremental) Base() *vis.Data {
+	data, _ := inc.Eval(nil, nil)
+	return data
+}
+
+func limitPoints(pts []vis.Point, limit int) []vis.Point {
+	if limit > 0 && len(pts) > limit {
+		return pts[:limit]
+	}
+	return pts
+}
 
 func removedSet(removed []int64) map[int64]struct{} {
 	if len(removed) == 0 {
@@ -257,7 +352,8 @@ func removedSet(removed []int64) map[int64]struct{} {
 }
 
 // evalNone assembles the direct-mark point list: surviving base points
-// and added points merged in rank order.
+// and added points merged in rank order. A direct mark is never NaN:
+// dataset.Num stores NaN as null, and null rows draw no mark.
 func (inc *Incremental) evalNone(removed []int64, added []IncRow) []vis.Point {
 	rm := removedSet(removed)
 	var pts []vis.Point
@@ -284,132 +380,104 @@ func (inc *Incremental) evalNone(removed []int64, added []IncRow) []vis.Point {
 	return pts
 }
 
-// evalKeyed assembles the grouped/binned point list: clean groups reuse
-// their base aggregate, dirty groups re-fold their contributor list in
-// rank order (the same accumulation order Execute uses), and the output
-// order reproduces Execute's (first-appearance order for GROUP, bin
-// order for BIN).
-func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) []vis.Point {
-	grouped := inc.q.Transform == TransformGroup
+// evalKeyed assembles the grouped/binned chart: it re-folds the groups
+// the delta touches, sorts those, and merges them into the presorted
+// base marks, skipping the dirty ones, until LIMIT points are out.
+// ok is false when a re-folded mark is NaN.
+func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) ([]vis.Point, bool) {
+	var rm []int64
+	if len(removed) > 0 {
+		rm = slices.Clone(removed)
+		slices.Sort(rm)
+	}
 
-	// Identify dirty states and collect added contributions per state.
-	rm := removedSet(removed)
-	dirty := make(map[*keyState][]contribRef)
-	markDirty := func(st *keyState) {
-		if _, seen := dirty[st]; !seen {
-			dirty[st] = nil
+	// Collect the touched groups: dirty base states by removed rank and
+	// by added row, new groups by key, each with its additions in rank
+	// order. A delta touches few groups, so a linear search finds them.
+	var touched []refold
+	slot := func(st *keyState, c *contrib) int {
+		for i := range touched {
+			t := &touched[i]
+			if t.base != st {
+				continue
+			}
+			if st != nil || (inc.q.Transform == TransformGroup && t.label == c.key) ||
+				(inc.q.Transform == TransformBin && t.bin == c.bin) {
+				return i
+			}
+		}
+		t := refold{base: st}
+		if st != nil {
+			t.mark = st.mark
+		} else {
+			t.mark = inc.newMark(c)
+		}
+		touched = append(touched, t)
+		return len(touched) - 1
+	}
+	for _, r := range rm {
+		if pos, ok := inc.rankPos[r]; ok {
+			if c := &inc.rows[pos]; c.routed {
+				slot(inc.stateOf(c), c)
+			}
 		}
 	}
-	for r := range rm {
-		pos, ok := inc.rankPos[r]
-		if !ok {
-			continue
-		}
-		if c := &inc.rows[pos]; c.routed {
-			markDirty(inc.stateOf(c))
-		}
-	}
-	// newStates tracks groups born in this delta, in appearance order.
-	var newStates []*keyState
-	newByKey := make(map[string]*keyState)
-	newByBin := make(map[int64]*keyState)
-	newLabels := make(map[*keyState]string)
 	for _, row := range added {
 		c := inc.contribution(row)
 		if !c.routed {
 			continue
 		}
-		st := inc.stateOf(&c)
-		if st == nil {
-			if grouped {
-				st = newByKey[c.key]
-			} else {
-				st = newByBin[c.bin]
+		i := slot(inc.stateOf(&c), &c)
+		touched[i].adds = append(touched[i].adds, contribRef{rank: c.rank, y: c.y})
+	}
+
+	// Re-fold every touched group; keep those that draw a mark, and note
+	// the base positions the merge must skip.
+	var skip []int
+	fresh := touched[:0]
+	for _, t := range touched {
+		var base []contribRef
+		if t.base != nil {
+			base = t.base.contribs
+			if t.base.pos >= 0 {
+				skip = append(skip, t.base.pos)
 			}
-			if st == nil {
-				st = &keyState{bin: c.bin}
-				if grouped {
-					newByKey[c.key] = st
-					newLabels[st] = c.key
-				} else {
-					newByBin[c.bin] = st
-				}
-				newStates = append(newStates, st)
-				markDirty(st)
-			}
+		}
+		inc.fold(&t.mark, base, t.adds, rm)
+		if !t.ok {
+			continue
+		}
+		if math.IsNaN(t.y) {
+			return nil, false
+		}
+		fresh = append(fresh, t)
+	}
+	slices.Sort(skip)
+	slices.SortFunc(fresh, func(a, b refold) int { return inc.compareMarks(&a.mark, &b.mark) })
+
+	n := len(inc.sorted) - len(skip) + len(fresh)
+	if inc.q.Limit > 0 && n > inc.q.Limit {
+		n = inc.q.Limit
+	}
+	if n == 0 {
+		return nil, true
+	}
+	pts := make([]vis.Point, 0, n)
+	i, j, k := 0, 0, 0 // base position, fresh index, skip index
+	for len(pts) < n {
+		for k < len(skip) && skip[k] == i {
+			i++
+			k++
+		}
+		if j < len(fresh) && (i == len(inc.sorted) || inc.compareMarks(&fresh[j].mark, &inc.sorted[i].mark) < 0) {
+			pts = append(pts, inc.point(&fresh[j].mark))
+			j++
 		} else {
-			markDirty(st)
-		}
-		dirty[st] = append(dirty[st], contribRef{rank: c.rank, y: c.y})
-	}
-
-	// Re-fold each dirty state over its surviving + added contributors,
-	// merged in ascending rank order.
-	folded := make(map[*keyState]*keyState, len(dirty))
-	for st, adds := range dirty {
-		nf := &keyState{bin: st.bin}
-		nf.contribs = mergeContribs(st.contribs, adds, rm)
-		nf.fold(inc.q.Agg)
-		folded[st] = nf
-	}
-
-	// Output order: clean states keep their base slot; dirty states
-	// reorder by their recomputed first contributor. Execute orders
-	// groups by first appearance (= min contributing rank) and bins by
-	// bin id, so a single merge of the two sorted sequences reproduces
-	// it.
-	order := func(st *keyState) int64 {
-		if grouped {
-			return st.firstRank
-		}
-		return st.bin
-	}
-	var live []*keyState
-	for _, st := range inc.keyOrder {
-		nf, isDirty := folded[st]
-		if !isDirty {
-			live = append(live, st)
-			continue
-		}
-		if len(nf.contribs) > 0 {
-			if lbl, ok := inc.labelOf[st]; ok {
-				if newLabels == nil {
-					newLabels = map[*keyState]string{}
-				}
-				newLabels[nf] = lbl
-			}
-			live = append(live, nf)
+			pts = append(pts, inc.point(&inc.sorted[i].mark))
+			i++
 		}
 	}
-	for _, st := range newStates {
-		nf := folded[st]
-		if len(nf.contribs) == 0 {
-			continue
-		}
-		if lbl, ok := newLabels[st]; ok {
-			newLabels[nf] = lbl
-		}
-		live = append(live, nf)
-	}
-	sort.SliceStable(live, func(a, b int) bool { return order(live[a]) < order(live[b]) })
-
-	var pts []vis.Point
-	for _, st := range live {
-		if !st.ok {
-			continue
-		}
-		if grouped {
-			lbl, ok := inc.labelOf[st]
-			if !ok {
-				lbl = newLabels[st]
-			}
-			pts = append(pts, vis.Point{Label: lbl, Y: st.y})
-		} else {
-			lo := float64(st.bin) * inc.q.BinInterval
-			pts = append(pts, vis.Point{Label: binLabel(lo, lo+inc.q.BinInterval), X: lo, HasX: true, Y: st.y})
-		}
-	}
-	return pts
+	return pts, true
 }
 
 // stateOf returns the base state a routed contribution belongs to, or
@@ -419,24 +487,4 @@ func (inc *Incremental) stateOf(c *contrib) *keyState {
 		return inc.keys[c.key]
 	}
 	return inc.bins[c.bin]
-}
-
-// mergeContribs merges the surviving base contributors with the added
-// ones in ascending rank order. base is sorted; adds is sorted (Eval's
-// input contract); rm removes by rank from base only.
-func mergeContribs(base, adds []contribRef, rm map[int64]struct{}) []contribRef {
-	out := make([]contribRef, 0, len(base)+len(adds))
-	j := 0
-	for _, c := range base {
-		for j < len(adds) && adds[j].rank < c.rank {
-			out = append(out, adds[j])
-			j++
-		}
-		if _, gone := rm[c.rank]; gone {
-			continue
-		}
-		out = append(out, c)
-	}
-	out = append(out, adds[j:]...)
-	return out
 }

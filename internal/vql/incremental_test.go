@@ -72,7 +72,10 @@ func checkDelta(t *testing.T, q *Query, base []IncRow, removed []int64, added []
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := inc.Eval(removed, added)
+	got, ok := inc.Eval(removed, added)
+	if !ok {
+		t.Fatalf("removed=%v added=%d: Eval declined a delta without NaN marks", removed, len(added))
+	}
 	want, err := q.Execute(applyDelta(t, base, removed, added))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +169,7 @@ func TestIncrementalBaseFastPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := inc.Base()
-		slow := inc.Eval([]int64{-999}, nil) // unknown rank: no-op delta, general path
+		slow, _ := inc.Eval([]int64{-999}, nil) // unknown rank: no-op delta, general path
 		assertSameData(t, src, fast, slow)
 
 		// The fast path must hand out an independent copy: mutating one
@@ -190,7 +193,7 @@ func TestIncrementalBaseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if inc.Eval(nil, nil) == nil {
+		if data, _ := inc.Eval(nil, nil); data == nil {
 			t.Fatal("nil chart")
 		}
 	})

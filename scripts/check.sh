@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: build, vet, gofmt, the full
 # test suite with the race detector on, short fuzzes of the similarity
-# kernels and the kNN index, the determinism + incremental equivalence
+# kernels, the kNN index and the incremental query executor (each 10 s,
+# in that order), the determinism + incremental equivalence
 # suites (same seed and Workers=1 vs Workers=8 sessions must be
 # byte-identical, and at every session state the delta pricer and the
 # maintained detectors must reproduce the full rebuild and the
@@ -73,6 +74,9 @@ go test -run '^$' -fuzz '^FuzzSimilarityKernels$' -fuzztime 10s ./internal/strin
 
 echo "== fuzz: kNN id index vs the string-set reference (10 s)"
 go test -run '^$' -fuzz '^FuzzNearest$' -fuzztime 10s ./internal/knn
+
+echo "== fuzz: incremental query executor vs Execute (10 s)"
+go test -run '^$' -fuzz '^FuzzIncrementalEval$' -fuzztime 10s ./internal/vql
 
 echo "== determinism + incremental equivalence suites (-race)"
 go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence' ./internal/pipeline/
