@@ -1,7 +1,8 @@
 package em
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"visclean/internal/dataset"
 	"visclean/internal/stringsim"
@@ -67,42 +68,30 @@ func Candidates(t *dataset.Table, cfg BlockingConfig) []Pair {
 		}
 	}
 
-	seen := make(map[Pair]struct{})
+	var out []Pair
 	for _, ids := range blocks {
 		if len(ids) > maxBlock || len(ids) < 2 {
 			continue
 		}
-		// Tuples may appear several times in a block (same token in two
-		// key columns); dedupe first.
-		uniq := dedupeIDs(ids)
+		// A tuple appears in a block once per occurrence of the token in
+		// its key cells. A row's tokens are appended together, so its
+		// repeats are adjacent and Compact drops them; the size limit
+		// above still counts them.
+		uniq := slices.Compact(ids)
 		for i := 0; i < len(uniq); i++ {
 			for j := i + 1; j < len(uniq); j++ {
-				seen[MakePair(uniq[i], uniq[j])] = struct{}{}
+				out = append(out, MakePair(uniq[i], uniq[j]))
 			}
 		}
 	}
-	out := make([]Pair, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
+	slices.SortFunc(out, comparePairs)
+	return slices.Compact(out)
 }
 
-func dedupeIDs(ids []dataset.TupleID) []dataset.TupleID {
-	set := make(map[dataset.TupleID]struct{}, len(ids))
-	out := ids[:0:0]
-	for _, id := range ids {
-		if _, dup := set[id]; dup {
-			continue
-		}
-		set[id] = struct{}{}
-		out = append(out, id)
+// comparePairs orders pairs by (A, B).
+func comparePairs(p, q Pair) int {
+	if c := cmp.Compare(p.A, q.A); c != 0 {
+		return c
 	}
-	return out
+	return cmp.Compare(p.B, q.B)
 }

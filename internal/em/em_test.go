@@ -183,29 +183,6 @@ func TestMatcherSingleClassKeepsHeuristic(t *testing.T) {
 	}
 }
 
-func TestUncertainPairs(t *testing.T) {
-	tbl := pubsTable(t)
-	m := NewMatcher(tbl, rf.DefaultConfig())
-	cands := Candidates(tbl, BlockingConfig{KeyColumns: []int{0}})
-	top := m.UncertainPairs(tbl, cands, 3)
-	if len(top) != 3 {
-		t.Fatalf("got %d uncertain pairs", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if abs(top[i-1].Prob-0.5) > abs(top[i].Prob-0.5) {
-			t.Fatal("uncertain pairs not sorted by uncertainty")
-		}
-	}
-	// Labeled pairs are excluded.
-	m.AddLabel(top[0].Pair, true)
-	top2 := m.UncertainPairs(tbl, cands, 10)
-	for _, sp := range top2 {
-		if sp.Pair == top[0].Pair {
-			t.Fatal("labeled pair still proposed")
-		}
-	}
-}
-
 func TestBuildClusters(t *testing.T) {
 	tbl := pubsTable(t)
 	probs := map[Pair]float64{

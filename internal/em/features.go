@@ -1,8 +1,9 @@
 // Package em implements the entity-matching subsystem of §IV (Q_T):
 // per-attribute similarity features over tuple pairs, token blocking to
 // keep candidate generation sub-quadratic, a random-forest match
-// probability model, active-learning question generation (uncertain pairs
-// near probability 0.5), and constraint-aware clustering of matches.
+// probability model, and constraint-aware clustering of matches. The
+// active-learning question generator (uncertain pairs near probability
+// 0.5) ranks the session's dense probabilities in internal/pipeline.
 package em
 
 import (
@@ -10,6 +11,7 @@ import (
 	"sort"
 
 	"visclean/internal/dataset"
+	"visclean/internal/par"
 	"visclean/internal/stringsim"
 )
 
@@ -90,7 +92,7 @@ func (fe *FeatureExtractor) Width() int {
 // Features computes the feature vector of tuple pair (a, b) of t, which
 // must have the extractor's schema: FeaturesOf's one-pair case.
 func (fe *FeatureExtractor) Features(t *dataset.Table, a, b dataset.TupleID) []float64 {
-	return fe.FeaturesOf(t, []Pair{{A: a, B: b}})[0]
+	return fe.FeaturesOf(t, []Pair{{A: a, B: b}}, 1)[0]
 }
 
 // FeaturesOf computes the feature vectors of a batch of tuple pairs of
@@ -105,33 +107,52 @@ func (fe *FeatureExtractor) Features(t *dataset.Table, a, b dataset.TupleID) []f
 // arithmetic, and exact is equality of value ids, which are assigned
 // one per distinct string.
 //
+// It runs in three passes. The first, sequential, numbers the distinct
+// values and the distinct ordered value pairs in first-seen order. The
+// second scores each value pair, and the third fills each vector; both
+// fan out over at most workers goroutines (see fanOut), so every worker
+// count gives the same bits.
+//
 // The vectors share one backing array. Each is a full-capacity slice,
 // so appending to one copies it instead of overwriting its neighbour.
-func (fe *FeatureExtractor) FeaturesOf(t *dataset.Table, pairs []Pair) [][]float64 {
+func (fe *FeatureExtractor) FeaturesOf(t *dataset.Table, pairs []Pair, workers int) [][]float64 {
+	b := newValueBatch(fe.schema, t, pairs)
+	sims := make([][3]float64, len(b.vpairs))
+	fanOut(workers, len(sims), func(k int) {
+		x, y := b.vpairs[k][0], b.vpairs[k][1]
+		sims[k] = [3]float64{
+			stringsim.JaccardIDs(b.toks[x], b.toks[y]),
+			stringsim.JaroWinklerRunes(b.runes[x], b.runes[y]),
+			0,
+		}
+		if x == y {
+			sims[k][2] = 1
+		}
+	})
+
 	w := fe.Width()
 	back := make([]float64, len(pairs)*w)
 	out := make([][]float64, len(pairs))
-	vals := newValueBatch(fe.schema)
-	for i, p := range pairs {
+	nStr := len(b.strCols)
+	fanOut(workers, len(pairs), func(i int) {
 		f := back[i*w : (i+1)*w : (i+1)*w]
 		out[i] = f
-		ia, okA := t.RowIndex(p.A)
-		ib, okB := t.RowIndex(p.B)
+		ia, okA := t.RowIndex(pairs[i].A)
+		ib, okB := t.RowIndex(pairs[i].B)
 		if !okA || !okB {
 			// A vanished tuple (merged away) matches nothing; the zero
 			// vector is the most dissimilar one, so stale questions
 			// degrade gracefully instead of panicking.
-			continue
+			return
 		}
-		va, vb := vals.row(t, ia), vals.row(t, ib)
+		slots := b.slots[i*nStr : (i+1)*nStr]
 		k, j := 0, 0
 		for c, col := range fe.schema {
 			if col.Kind == dataset.String {
-				if x, y := va[j], vb[j]; x < 0 || y < 0 {
+				if s := slots[j]; s < 0 {
 					f[k], f[k+1], f[k+2] = 0.5, 0.5, 0.5
 				} else {
-					sim := vals.sim(x, y)
-					f[k], f[k+1], f[k+2] = sim[0], sim[1], sim[2]
+					f[k], f[k+1], f[k+2] = sims[s][0], sims[s][1], sims[s][2]
 				}
 				j++
 				k += 3
@@ -153,83 +174,101 @@ func (fe *FeatureExtractor) FeaturesOf(t *dataset.Table, pairs []Pair) [][]float
 			}
 			k += 2
 		}
-	}
+	})
 	return out
 }
 
-// valueBatch holds one FeaturesOf call's shared string work: an id per
-// distinct string value, each value's prepared forms, each row's value
-// ids, and the similarity triple of every ordered value-id pair scored
-// so far.
+// valueBatch is FeaturesOf's sequential first pass over a batch: an id
+// per distinct string value with its prepared forms, and an index per
+// distinct ordered value-id pair that some pair of the batch compares.
 type valueBatch struct {
-	strCols []int         // the schema's String columns, in order
-	rowOff  map[int]int32 // row index → offset of its value ids in rowIDs
-	rowIDs  []int32       // per resolved row, one id per strCols entry; -1 is null
-	ids     map[string]int32
+	strCols []int   // the schema's String columns, in order
+	slots   []int32 // per pair and strCols entry: the value pair's index in vpairs; -1 when either cell is null
+	vpairs  [][2]int32
 	runes   [][]rune  // by value id: stringsim.LowerRunes
 	toks    [][]int32 // by value id: token ids in vocab
-	vocab   *stringsim.Vocab
-	sims    map[uint64][3]float64 // ordered id pair → (Jaccard, Jaro-Winkler, exact)
 }
 
-func newValueBatch(schema dataset.Schema) *valueBatch {
-	b := &valueBatch{
-		rowOff: make(map[int]int32),
-		ids:    make(map[string]int32),
-		vocab:  stringsim.NewVocab(),
-		sims:   make(map[uint64][3]float64),
-	}
+func newValueBatch(schema dataset.Schema, t *dataset.Table, pairs []Pair) *valueBatch {
+	b := &valueBatch{}
 	for c, col := range schema {
 		if col.Kind == dataset.String {
 			b.strCols = append(b.strCols, c)
 		}
 	}
+	nStr := len(b.strCols)
+	b.slots = make([]int32, len(pairs)*nStr)
+	// rowOff[i] is the offset of row i's value ids in rowIDs, -1 until
+	// the row is first resolved.
+	rowOff := make([]int32, t.NumRows())
+	for i := range rowOff {
+		rowOff[i] = -1
+	}
+	var rowIDs []int32 // per resolved row, one id per strCols entry; -1 is null
+	ids := make(map[string]int32)
+	vocab := stringsim.NewVocab()
+	row := func(i int) []int32 {
+		if rowOff[i] < 0 {
+			rowOff[i] = int32(len(rowIDs))
+			for _, c := range b.strCols {
+				id := int32(-1)
+				if s, ok := t.Get(i, c).Text(); ok {
+					var seen bool
+					if id, seen = ids[s]; !seen {
+						id = int32(len(b.runes))
+						ids[s] = id
+						b.runes = append(b.runes, stringsim.LowerRunes(s))
+						b.toks = append(b.toks, vocab.TokenIDs(s))
+					}
+				}
+				rowIDs = append(rowIDs, id)
+			}
+		}
+		return rowIDs[rowOff[i] : int(rowOff[i])+nStr]
+	}
+	vslot := make(map[uint64]int32)
+	for i, p := range pairs {
+		ia, okA := t.RowIndex(p.A)
+		ib, okB := t.RowIndex(p.B)
+		if !okA || !okB {
+			continue // FeaturesOf leaves the vector zero
+		}
+		va, vb := row(ia), row(ib)
+		slots := b.slots[i*nStr : (i+1)*nStr]
+		for j := range slots {
+			x, y := va[j], vb[j]
+			if x < 0 || y < 0 {
+				slots[j] = -1
+				continue
+			}
+			key := uint64(uint32(x))<<32 | uint64(uint32(y))
+			s, ok := vslot[key]
+			if !ok {
+				s = int32(len(b.vpairs))
+				vslot[key] = s
+				b.vpairs = append(b.vpairs, [2]int32{x, y})
+			}
+			slots[j] = s
+		}
+	}
 	return b
 }
 
-// row returns the value ids of row i's string cells.
-func (b *valueBatch) row(t *dataset.Table, i int) []int32 {
-	off, ok := b.rowOff[i]
-	if !ok {
-		off = int32(len(b.rowIDs))
-		b.rowOff[i] = off
-		for _, c := range b.strCols {
-			id := int32(-1)
-			if s, ok := t.Get(i, c).Text(); ok {
-				id = b.id(s)
-			}
-			b.rowIDs = append(b.rowIDs, id)
+// fanBlock is how many consecutive items fanOut hands a worker at once.
+// Scoring one pair takes tens of nanoseconds, about what a contended
+// hand-off of one index costs, so per-item hand-off made two workers
+// slower than one.
+const fanBlock = 256
+
+// fanOut runs fn(i) for every i in [0, n) across at most workers
+// goroutines (workers < 1 selects GOMAXPROCS), in blocks of fanBlock
+// consecutive items; n ≤ fanBlock runs on the caller's goroutine. fn
+// must follow par's index-write rule: item i writes only slot i.
+func fanOut(workers, n int, fn func(i int)) {
+	blocks := (n + fanBlock - 1) / fanBlock
+	par.ForEachIndex(workers, blocks, func(b int) {
+		for i := b * fanBlock; i < min(n, (b+1)*fanBlock); i++ {
+			fn(i)
 		}
-	}
-	return b.rowIDs[off : int(off)+len(b.strCols)]
-}
-
-// id returns s's value id, preparing s on first sight.
-func (b *valueBatch) id(s string) int32 {
-	if id, ok := b.ids[s]; ok {
-		return id
-	}
-	id := int32(len(b.runes))
-	b.ids[s] = id
-	b.runes = append(b.runes, stringsim.LowerRunes(s))
-	b.toks = append(b.toks, b.vocab.TokenIDs(s))
-	return id
-}
-
-// sim returns the (Jaccard, Jaro-Winkler, exact) triple of values x, y.
-func (b *valueBatch) sim(x, y int32) [3]float64 {
-	key := uint64(uint32(x))<<32 | uint64(uint32(y))
-	if s, ok := b.sims[key]; ok {
-		return s
-	}
-	s := [3]float64{
-		stringsim.JaccardIDs(b.toks[x], b.toks[y]),
-		stringsim.JaroWinklerRunes(b.runes[x], b.runes[y]),
-		0,
-	}
-	if x == y {
-		s[2] = 1
-	}
-	b.sims[key] = s
-	return s
+	})
 }

@@ -1,11 +1,14 @@
 package em
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"visclean/internal/datagen"
 	"visclean/internal/dataset"
+	"visclean/internal/rf"
 	"visclean/internal/stringsim"
 )
 
@@ -129,33 +132,67 @@ func TestFeaturesOfBitIdentical(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			fe := NewFeatureExtractor(c.table)
-			pairs := c.pairs(c.table)
-			got := fe.FeaturesOf(c.table, pairs)
-			if len(got) != len(pairs) {
-				t.Fatalf("%d vectors for %d pairs", len(got), len(pairs))
-			}
-			for i, p := range pairs {
-				want := featuresRef(fe, c.table, p.A, p.B)
-				if len(got[i]) != len(want) || cap(got[i]) != len(want) {
-					t.Fatalf("pair %v: len %d cap %d, want both %d", p, len(got[i]), cap(got[i]), len(want))
-				}
-				for k := range want {
-					if math.Float64bits(got[i][k]) != math.Float64bits(want[k]) {
-						t.Fatalf("pair %v feature %d = %v, reference %v", p, k, got[i][k], want[k])
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					fe := NewFeatureExtractor(c.table)
+					pairs := c.pairs(c.table)
+					got := fe.FeaturesOf(c.table, pairs, workers)
+					if len(got) != len(pairs) {
+						t.Fatalf("%d vectors for %d pairs", len(got), len(pairs))
 					}
-				}
-			}
-			if len(pairs) == 1 {
-				one := fe.Features(c.table, pairs[0].A, pairs[0].B)
-				for k := range one {
-					if math.Float64bits(one[k]) != math.Float64bits(got[0][k]) {
-						t.Fatalf("Features feature %d = %v, FeaturesOf %v", k, one[k], got[0][k])
+					for i, p := range pairs {
+						want := featuresRef(fe, c.table, p.A, p.B)
+						if len(got[i]) != len(want) || cap(got[i]) != len(want) {
+							t.Fatalf("pair %v: len %d cap %d, want both %d", p, len(got[i]), cap(got[i]), len(want))
+						}
+						for k := range want {
+							if math.Float64bits(got[i][k]) != math.Float64bits(want[k]) {
+								t.Fatalf("pair %v feature %d = %v, reference %v", p, k, got[i][k], want[k])
+							}
+						}
 					}
-				}
+					if len(pairs) == 1 {
+						one := fe.Features(c.table, pairs[0].A, pairs[0].B)
+						for k := range one {
+							if math.Float64bits(one[k]) != math.Float64bits(got[0][k]) {
+								t.Fatalf("Features feature %d = %v, FeaturesOf %v", k, one[k], got[0][k])
+							}
+						}
+					}
+					checkProbsOf(t, c.table, pairs, got, workers)
+				})
 			}
 		})
 	}
+}
+
+// checkProbsOf holds Matcher.ProbsOf to ProbWithFeatures pair by pair,
+// for the heuristic and, when the labels give both classes, the trained
+// forest. About a dozen pairs spread over the batch are labeled,
+// alternating match and non-match, so labeled and unlabeled pairs both
+// occur.
+func checkProbsOf(t *testing.T, tbl *dataset.Table, pairs []Pair, feats [][]float64, workers int) {
+	t.Helper()
+	cfg := rf.DefaultConfig()
+	cfg.Workers = workers
+	m := NewMatcher(tbl, cfg)
+	check := func(stage string) {
+		got := make([]float64, len(pairs))
+		m.ProbsOf(pairs, feats, got)
+		for i, p := range pairs {
+			if want := m.ProbWithFeatures(p, feats[i]); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: ProbsOf pair %v = %v, ProbWithFeatures %v", stage, p, got[i], want)
+			}
+		}
+	}
+	check("heuristic")
+	for n, i := 0, 0; i < len(pairs); n, i = n+1, i+len(pairs)/12+1 {
+		m.AddLabel(pairs[i], n%2 == 0)
+	}
+	if err := m.Train(tbl); err != nil {
+		t.Fatal(err)
+	}
+	check("labeled")
 }
 
 // TestFeaturesOfVectorsDoNotAlias checks that appending to one vector of
@@ -164,7 +201,7 @@ func TestFeaturesOfVectorsDoNotAlias(t *testing.T) {
 	tbl := pubsTable(t)
 	fe := NewFeatureExtractor(tbl)
 	pairs := []Pair{{A: tbl.ID(0), B: tbl.ID(1)}, {A: tbl.ID(2), B: tbl.ID(3)}}
-	got := fe.FeaturesOf(tbl, pairs)
+	got := fe.FeaturesOf(tbl, pairs, 1)
 	next := append([]float64(nil), got[1]...)
 	_ = append(got[0], -1, -1, -1)
 	for k := range next {
@@ -173,3 +210,22 @@ func TestFeaturesOfVectorsDoNotAlias(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFeaturesOf times feature extraction for every blocking
+// candidate of D1 at scale 0.07, the analyst-d1 benchmark workload's
+// table, sequentially and at GOMAXPROCS workers.
+func BenchmarkFeaturesOf(b *testing.B) {
+	d := datagen.D1(datagen.Config{Scale: 0.07, Seed: 1})
+	pairs := Candidates(d.Dirty, BlockingConfig{KeyColumns: d.KeyColumns})
+	fe := NewFeatureExtractor(d.Dirty)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchFeats = fe.FeaturesOf(d.Dirty, pairs, workers)
+			}
+		})
+	}
+}
+
+var benchFeats [][]float64

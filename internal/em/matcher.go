@@ -1,7 +1,7 @@
 package em
 
 import (
-	"sort"
+	"slices"
 
 	"visclean/internal/dataset"
 	"visclean/internal/rf"
@@ -58,12 +58,7 @@ func (m *Matcher) LabeledPairs() []Pair {
 	for p := range m.labels {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, comparePairs)
 	return out
 }
 
@@ -73,7 +68,7 @@ func (m *Matcher) LabeledPairs() []Pair {
 // or 1 and destroy active learning).
 func (m *Matcher) Train(t *dataset.Table) error {
 	pairs := m.LabeledPairs()
-	x := m.fe.FeaturesOf(t, pairs)
+	x := m.fe.FeaturesOf(t, pairs, m.cfg.Workers)
 	var y []int
 	pos, neg := 0, 0
 	for _, p := range pairs {
@@ -116,9 +111,19 @@ func (m *Matcher) Features(t *dataset.Table, p Pair) []float64 {
 }
 
 // FeaturesOf is Features for a batch of pairs, sharing string work
-// across the batch (see FeatureExtractor.FeaturesOf).
+// across the batch and fanning it out over the forest's Workers (see
+// FeatureExtractor.FeaturesOf).
 func (m *Matcher) FeaturesOf(t *dataset.Table, pairs []Pair) [][]float64 {
-	return m.fe.FeaturesOf(t, pairs)
+	return m.fe.FeaturesOf(t, pairs, m.cfg.Workers)
+}
+
+// ProbsOf sets out[i] to ProbWithFeatures(pairs[i], feats[i]) for every
+// pair, fanning out over the forest's Workers. Item i writes only
+// out[i], so the result does not depend on the worker count.
+func (m *Matcher) ProbsOf(pairs []Pair, feats [][]float64, out []float64) {
+	fanOut(m.cfg.Workers, len(pairs), func(i int) {
+		out[i] = m.ProbWithFeatures(pairs[i], feats[i])
+	})
 }
 
 // ProbWithFeatures is Prob for a precomputed feature vector.
@@ -164,40 +169,4 @@ func (m *Matcher) heuristic(feats []float64) float64 {
 type ScoredPair struct {
 	Pair Pair
 	Prob float64
-}
-
-// UncertainPairs implements the active-learning question generator of
-// §IV: it scores every unlabeled candidate and returns the n pairs whose
-// probability is closest to 0.5 (most informative to label), sorted by
-// ascending |prob−0.5| with (A,B) tiebreaks.
-func (m *Matcher) UncertainPairs(t *dataset.Table, candidates []Pair, n int) []ScoredPair {
-	scored := make([]ScoredPair, 0, len(candidates))
-	for _, p := range candidates {
-		if _, ok := m.labels[p]; ok {
-			continue
-		}
-		scored = append(scored, ScoredPair{Pair: p, Prob: m.Prob(t, p)})
-	}
-	sort.Slice(scored, func(i, j int) bool {
-		di := abs(scored[i].Prob - 0.5)
-		dj := abs(scored[j].Prob - 0.5)
-		if di != dj {
-			return di < dj
-		}
-		if scored[i].Pair.A != scored[j].Pair.A {
-			return scored[i].Pair.A < scored[j].Pair.A
-		}
-		return scored[i].Pair.B < scored[j].Pair.B
-	})
-	if n > 0 && len(scored) > n {
-		scored = scored[:n]
-	}
-	return scored
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 
 	"visclean/internal/artifact"
 	"visclean/internal/dataset"
@@ -156,61 +155,28 @@ func (s *Session) acquireBootstrap(keyColumns []int) *embootArtifact {
 
 // buildBootstrap runs candidate generation, feature extraction,
 // distant-supervision seeding and the first training on a throwaway
-// matcher, capturing the immutable results for installBootstrap.
-//
-// Seeding labels the candidate pairs the similarity heuristic ranks as
-// most and least similar, gated by absolute sanity thresholds; no ground
-// truth and no user budget is consumed. Rank-based selection matters
-// because the heuristic's absolute scale shifts with the schema (a table
-// with many near-constant numeric columns floats every pair's score up).
+// matcher, capturing the immutable results for installBootstrap. The
+// feature and scoring passes fan out over the forest's Workers; their
+// results do not depend on the worker count. With obs on, each step's
+// wall time lands in visclean_session_open_phase_seconds.
 func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
-	const maxSeedPerClass = 30
+	ph := startOpenPhases()
 	cands := em.Candidates(s.table, em.BlockingConfig{KeyColumns: keyColumns})
+	ph.done("blocking")
 	m := em.NewMatcher(s.table, s.cfg.RF)
 	feats := m.FeaturesOf(s.table, cands)
-	type scored struct {
-		i  int
-		pr float64
-	}
-	all := make([]scored, len(cands))
-	for i, p := range cands {
-		all[i] = scored{i: i, pr: m.ProbWithFeatures(p, feats[i])}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].pr != all[j].pr {
-			return all[i].pr > all[j].pr
-		}
-		pi, pj := cands[all[i].i], cands[all[j].i]
-		if pi.A != pj.A {
-			return pi.A < pj.A
-		}
-		return pi.B < pj.B
-	})
-	var labels []seedLabel
-	pos := 0
-	for _, sc := range all {
-		if pos >= maxSeedPerClass || sc.pr < 0.88 {
-			break
-		}
-		m.AddLabel(cands[sc.i], true)
-		labels = append(labels, seedLabel{pair: cands[sc.i], match: true})
-		pos++
-	}
-	neg := 0
-	for i := len(all) - 1; i >= 0; i-- {
-		sc := all[i]
-		if neg >= maxSeedPerClass || sc.pr > 0.55 {
-			break
-		}
-		m.AddLabel(cands[sc.i], false)
-		labels = append(labels, seedLabel{pair: cands[sc.i], match: false})
-		neg++
-	}
-	_ = m.Train(s.table) // single-class training keeps the heuristic (nil forest)
+	ph.done("features")
 	probs := make([]float64, len(cands))
-	for i, p := range cands {
-		probs[i] = m.ProbWithFeatures(p, feats[i])
+	m.ProbsOf(cands, feats, probs)
+	labels := seedLabels(cands, probs)
+	for _, l := range labels {
+		m.AddLabel(l.pair, l.match)
 	}
+	ph.done("seed")
+	_ = m.Train(s.table) // single-class training keeps the heuristic (nil forest)
+	ph.done("train")
+	m.ProbsOf(cands, feats, probs)
+	ph.done("probs")
 	return &embootArtifact{
 		candidates: cands,
 		feats:      feats,
@@ -218,6 +184,62 @@ func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
 		forest:     m.Forest(),
 		probs:      probs,
 	}
+}
+
+// Distant supervision labels at most maxSeedPerClass candidates per
+// class, each past an absolute sanity threshold.
+const (
+	maxSeedPerClass = 30
+	seedMatchMin    = 0.88
+	seedNonMatchMax = 0.55
+)
+
+// seedLabels picks the distant-supervision labels from the candidates'
+// heuristic probabilities: the candidates the heuristic ranks as most
+// and least similar, gated by the absolute thresholds; no ground truth
+// and no user budget is consumed. Rank-based selection matters because
+// the heuristic's absolute scale shifts with the schema (a table with
+// many near-constant numeric columns floats every pair's score up).
+//
+// In the candidates' seedBefore order, the matches are the first
+// maxSeedPerClass with p ≥ seedMatchMin, first to last, and the
+// non-matches the last maxSeedPerClass with p ≤ seedNonMatchMax, last
+// to first. Two bounded buffers keep them without sorting every
+// candidate; candidates are distinct pairs, so seedBefore is a strict
+// total order and each buffer holds exactly that end of a full sort. A
+// NaN probability meets neither threshold.
+func seedLabels(cands []em.Pair, probs []float64) []seedLabel {
+	seedAfter := func(a, b em.ScoredPair) bool { return seedBefore(b, a) }
+	var pos, neg []em.ScoredPair
+	for i, pr := range probs {
+		sp := em.ScoredPair{Pair: cands[i], Prob: pr}
+		switch {
+		case pr >= seedMatchMin:
+			pos = insertBounded(pos, sp, maxSeedPerClass, seedBefore)
+		case pr <= seedNonMatchMax:
+			neg = insertBounded(neg, sp, maxSeedPerClass, seedAfter)
+		}
+	}
+	labels := make([]seedLabel, 0, len(pos)+len(neg))
+	for _, sp := range pos {
+		labels = append(labels, seedLabel{pair: sp.Pair, match: true})
+	}
+	for _, sp := range neg {
+		labels = append(labels, seedLabel{pair: sp.Pair, match: false})
+	}
+	return labels
+}
+
+// seedBefore orders seeding candidates: descending probability, then
+// ascending (A, B).
+func seedBefore(a, b em.ScoredPair) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	if a.Pair.A != b.Pair.A {
+		return a.Pair.A < b.Pair.A
+	}
+	return a.Pair.B < b.Pair.B
 }
 
 // installBootstrap starts the session from its bootstrap artifact, then

@@ -277,19 +277,27 @@ func (s *Session) uncertainPairs(n int, lo, hi float64) []em.ScoredPair {
 			top = append(top, sp)
 			continue
 		}
-		if len(top) == n {
-			if !moreUncertain(sp, top[n-1]) {
-				continue
-			}
-			top = top[:n-1]
-		}
-		pos := sort.Search(len(top), func(j int) bool { return moreUncertain(sp, top[j]) })
-		top = slices.Insert(top, pos, sp)
+		top = insertBounded(top, sp, n, moreUncertain)
 	}
 	if n <= 0 {
 		sort.Slice(top, func(a, b int) bool { return moreUncertain(top[a], top[b]) })
 	}
 	return top
+}
+
+// insertBounded inserts x into top, which holds at most n elements in
+// ascending less order, and drops the last element when top overflows.
+// Under a strict total order, feeding every element of a list through it
+// leaves the first n of the sorted list.
+func insertBounded[T any](top []T, x T, n int, less func(a, b T) bool) []T {
+	if len(top) == n {
+		if !less(x, top[n-1]) {
+			return top
+		}
+		top = top[:n-1]
+	}
+	pos := sort.Search(len(top), func(j int) bool { return less(x, top[j]) })
+	return slices.Insert(top, pos, x)
 }
 
 // moreUncertain orders Q_T candidates: ascending |p−0.5|, then

@@ -60,6 +60,14 @@ var (
 		"view":      phaseHist("view"),
 		"distance":  phaseHist("distance"),
 	}
+
+	obsOpenPhaseSeconds = map[string]*obs.Histogram{
+		"blocking": openPhaseHist("blocking"),
+		"features": openPhaseHist("features"),
+		"seed":     openPhaseHist("seed"),
+		"train":    openPhaseHist("train"),
+		"probs":    openPhaseHist("probs"),
+	}
 )
 
 // distBuckets cover per-iteration chart movement: label-aligned EMD
@@ -73,6 +81,39 @@ func phaseHist(phase string) *obs.Histogram {
 	}
 	return obs.Default.Histogram("visclean_iteration_phase_seconds", help,
 		obs.TimeBuckets, obs.Label{Key: "phase", Value: phase})
+}
+
+func openPhaseHist(phase string) *obs.Histogram {
+	help := ""
+	if phase == "blocking" { // HELP is per metric name; attach it once
+		help = "Wall time of each step of a cold EM bootstrap build (session open, DESIGN.md §12); artifact cache hits record nothing."
+	}
+	return obs.Default.Histogram("visclean_session_open_phase_seconds", help,
+		obs.TimeBuckets, obs.Label{Key: "phase", Value: phase})
+}
+
+// openPhases times consecutive steps of one bootstrap build. With obs
+// off it reads no clock.
+type openPhases struct {
+	on   bool
+	last time.Time
+}
+
+func startOpenPhases() openPhases {
+	if !obs.Enabled() {
+		return openPhases{}
+	}
+	return openPhases{on: true, last: time.Now()}
+}
+
+// done observes the time since the previous step ended as phase.
+func (p *openPhases) done(phase string) {
+	if !p.on {
+		return
+	}
+	now := time.Now()
+	obsOpenPhaseSeconds[phase].Observe(now.Sub(p.last).Seconds())
+	p.last = now
 }
 
 // noteBenefit copies an estimator's work accounting into the report.

@@ -396,9 +396,7 @@ func (s *Session) refreshModel() {
 	for j, feats := range s.matcher.FeaturesOf(s.table, pairs) {
 		s.feats[stale[j]] = feats
 	}
-	for i, feats := range s.feats {
-		s.probs[i] = s.matcher.ProbWithFeatures(s.candidates[i], feats)
-	}
+	s.matcher.ProbsOf(s.candidates, s.feats, s.probs)
 	s.dirtyIDs = nil
 	if s.userLabeled {
 		s.mergeList = s.hysteresisMergeList()

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"visclean/internal/benefit"
@@ -88,52 +90,72 @@ func (s *Session) viewCellFor(group []dataset.TupleID, c int, std map[string]*go
 	return resolve(vals, col.Kind)
 }
 
-// resolve elects the consolidated value of a column within one cluster.
+// resolve elects the consolidated value of a column within one cluster:
+// the most frequent non-null value, the last one seen of its group.
+// Numeric values group as their strconv 'g' renderings do: equal bits,
+// with every NaN in one group and −0 apart from +0. A tie between
+// string groups goes to the lexicographically smallest text; a numeric
+// tie to the median of all non-null values. Clusters are small, so
+// each group is counted by a scan of the values rather than a map.
 func resolve(vals []dataset.Value, kind dataset.Kind) dataset.Value {
-	counts := map[string]int{}
-	byKey := map[string]dataset.Value{}
+	best, bestN, tie := -1, 0, false
+	for i, v := range vals {
+		if v.IsNull() || slices.ContainsFunc(vals[:i], func(u dataset.Value) bool { return sameGroup(u, v) }) {
+			continue // null, or its group was counted at its first value
+		}
+		n, last := 1, i
+		for j := i + 1; j < len(vals); j++ {
+			if sameGroup(vals[j], v) {
+				n, last = n+1, j
+			}
+		}
+		switch {
+		case n > bestN:
+			best, bestN, tie = last, n, false
+		case n == bestN:
+			tie = true
+			if kind == dataset.String && cellText(vals[last]) < cellText(vals[best]) {
+				best = last
+			}
+		}
+	}
+	if best < 0 {
+		return dataset.Null(kind)
+	}
+	if !tie || kind == dataset.String {
+		return vals[best]
+	}
 	var nums []float64
 	for _, v := range vals {
-		if v.IsNull() {
-			continue
-		}
-		key := v.String()
-		counts[key]++
-		byKey[key] = v
 		if f, ok := v.Float(); ok {
 			nums = append(nums, f)
 		}
 	}
-	if len(counts) == 0 {
-		return dataset.Null(kind)
-	}
-	// Majority, deterministic tiebreaks.
-	bestKey := ""
-	bestCount := 0
-	tie := false
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		switch {
-		case counts[k] > bestCount:
-			bestKey, bestCount, tie = k, counts[k], false
-		case counts[k] == bestCount:
-			tie = true
-		}
-	}
-	if !tie || kind == dataset.String {
-		return byKey[bestKey]
-	}
-	// Numeric tie: median of all non-null values.
 	sort.Float64s(nums)
 	mid := len(nums) / 2
 	if len(nums)%2 == 1 {
 		return dataset.Num(nums[mid])
 	}
 	return dataset.Num((nums[mid-1] + nums[mid]) / 2)
+}
+
+// sameGroup reports whether cell u counts as the non-null value v in
+// resolve's vote.
+func sameGroup(u, v dataset.Value) bool {
+	if u.IsNull() {
+		return false
+	}
+	fu, okU := u.Float()
+	fv, okV := v.Float()
+	if okU || okV {
+		return okU && okV && (math.Float64bits(fu) == math.Float64bits(fv) || fu != fu && fv != fv)
+	}
+	return cellText(u) == cellText(v)
+}
+
+func cellText(v dataset.Value) string {
+	s, _ := v.Text()
+	return s
 }
 
 // CleanedView materializes the current cleaned relation: entity clusters

@@ -1,12 +1,12 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: build, vet, gofmt, the full
 # test suite with the race detector on, short fuzzes of the similarity
-# kernels, the kNN index and the incremental query executor (each 10 s,
-# in that order), the determinism + incremental equivalence
-# suites (same seed and Workers=1 vs Workers=8 sessions must be
-# byte-identical, and at every session state the delta pricer and the
-# maintained detectors must reproduce the full rebuild and the
-# from-scratch detectors bit for bit), ten race-detector runs of the
+# kernels, the kNN index, the incremental query executor and the batch
+# feature extractor (each 10 s, in that order), the determinism +
+# incremental equivalence suites (same seed and Workers=1 vs Workers=8
+# sessions must be byte-identical, and at every session state the delta
+# pricer and the maintained detectors must reproduce the full rebuild
+# and the from-scratch detectors bit for bit), ten race-detector runs of the
 # shared kNN artifact under concurrent sessions, and a one-shot
 # benchmark smoke so the bench harness cannot rot. The smoke also
 # guards the incremental engines' reason to exist: if
@@ -77,6 +77,9 @@ go test -run '^$' -fuzz '^FuzzNearest$' -fuzztime 10s ./internal/knn
 
 echo "== fuzz: incremental query executor vs Execute (10 s)"
 go test -run '^$' -fuzz '^FuzzIncrementalEval$' -fuzztime 10s ./internal/vql
+
+echo "== fuzz: batch pair features vs the per-pair reference (10 s)"
+go test -run '^$' -fuzz '^FuzzFeaturesOf$' -fuzztime 10s ./internal/em
 
 echo "== determinism + incremental equivalence suites (-race)"
 go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence' ./internal/pipeline/
