@@ -9,9 +9,9 @@
 // B_M = dist^Y and B_O = dist^Y.
 //
 // The estimator is decoupled from the cleaning pipeline through the
-// Hypothetical callback: the pipeline knows how to derive the charts
-// that a hypothetical answer would produce; this package only prices
-// them.
+// Price callback: the pipeline knows how far a hypothetical answer
+// would move its charts; this package canonicalizes and memoizes those
+// distances and weighs them into question benefits.
 package benefit
 
 import (
@@ -19,11 +19,9 @@ import (
 	"sync/atomic"
 
 	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/erg"
 	"visclean/internal/par"
-	"visclean/internal/vis"
 )
 
 // HypKind enumerates the hypothetical user answers the model prices.
@@ -72,20 +70,15 @@ type Hypothesis struct {
 	Value  float64
 }
 
-// Estimator prices questions. Bases holds every view's current chart
-// in view registration order; Hypothetical derives every view's chart
-// under a hypothetical answer, aligned with Bases. A hypothesis prices
-// as the sum of the per-view distances Dist(Bases[i], charts[i]),
-// accumulated in registration order starting from the first term, so
-// the float sum is deterministic at every worker count and a one-view
-// estimator prices exactly Dist(Bases[0], charts[0]). A nil charts slice
-// means the answer is inapplicable and prices as zero; a nil element
-// drops only that view's term.
+// Estimator prices questions. Price returns the distance dist^Y or
+// dist^N of one hypothetical answer: how far it would move the charts,
+// summed over every view (the pipeline's delta pricer). An inapplicable
+// answer prices as zero.
 //
 // Workers bounds the fan-out of Annotate: < 1 selects GOMAXPROCS, 1 is
-// strictly sequential. When Workers > 1 the Hypothetical callback must
-// be safe for concurrent calls (the pipeline freezes its standardizers
-// and prices M/O repairs through cell overrides to guarantee this).
+// strictly sequential. When Workers > 1 Price must be safe for
+// concurrent calls (the pipeline freezes its standardizers and prices
+// M/O repairs through cell overlays to guarantee this).
 //
 // Priced hypotheses are memoized for the estimator's lifetime, keyed by
 // canonical Hypothesis: within one iteration a hypothesis is a pure
@@ -95,35 +88,19 @@ type Hypothesis struct {
 // state changes invalidate the cache, so build a fresh one per
 // iteration.
 type Estimator struct {
-	Dist         distance.Func
-	Bases        []*vis.Data
-	Hypothetical func(h Hypothesis) []*vis.Data
-	Workers      int
-
-	// Pricer, when set, is tried before the full Hypothetical+Dist path:
-	// it returns the price of a hypothesis directly (typically via
-	// incremental delta evaluation), with ok=false meaning "cannot price
-	// this one incrementally" — the estimator then falls back to the full
-	// rebuild. A Pricer must be bit-identical to the full path and, like
-	// Hypothetical, safe for concurrent calls when Workers > 1.
-	Pricer func(h Hypothesis) (float64, bool)
+	Price   func(h Hypothesis) float64
+	Workers int
 
 	mu    sync.Mutex
 	memo  map[Hypothesis]*memoEntry
-	evals atomic.Int64 // unique Hypothetical invocations (cache misses)
+	evals atomic.Int64 // unique Price invocations (cache misses)
 	calls atomic.Int64 // total dist() requests (hits = calls − evals)
-	// pricerOK / pricerMiss count Pricer outcomes: accepted incremental
-	// prices vs. declines that fell back to the full rebuild. Both stay
-	// zero when Pricer is nil.
-	pricerOK   atomic.Int64
-	pricerMiss atomic.Int64
 }
 
 // Stats is an estimator's work accounting: how many prices were
-// requested, how many unique hypotheses were actually evaluated (the
-// rest were memo hits), and how the incremental pricer fared on the
-// evaluated ones. All four are deterministic for a given session state —
-// they do not depend on the worker count.
+// requested and how many unique hypotheses were actually evaluated (the
+// rest were memo hits). All three are deterministic for a given session
+// state — they do not depend on the worker count.
 type Stats struct {
 	// Calls counts dist() requests across all edges and repairs.
 	Calls int
@@ -131,29 +108,18 @@ type Stats struct {
 	Evals int
 	// MemoHits is Calls − Evals: prices served from the memo.
 	MemoHits int
-	// PricerAccepts counts hypotheses the incremental Pricer priced.
-	PricerAccepts int
-	// PricerFallbacks counts hypotheses the Pricer declined (posting or
-	// lookup miss), priced by the full view-rebuild path instead.
-	PricerFallbacks int
 }
 
 // Stats reports the estimator's accumulated work accounting.
 func (e *Estimator) Stats() Stats {
 	calls := int(e.calls.Load())
 	evals := int(e.evals.Load())
-	return Stats{
-		Calls:           calls,
-		Evals:           evals,
-		MemoHits:        calls - evals,
-		PricerAccepts:   int(e.pricerOK.Load()),
-		PricerFallbacks: int(e.pricerMiss.Load()),
-	}
+	return Stats{Calls: calls, Evals: evals, MemoHits: calls - evals}
 }
 
 // memoEntry is one memoized price. The sync.Once guarantees a single
-// Hypothetical evaluation per canonical hypothesis even when several
-// workers request it concurrently; losers block until the value is set.
+// Price evaluation per canonical hypothesis even when several workers
+// request it concurrently; losers block until the value is set.
 type memoEntry struct {
 	once sync.Once
 	val  float64
@@ -193,41 +159,15 @@ func (e *Estimator) dist(h Hypothesis) float64 {
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		e.evals.Add(1)
-		ent.val = e.rawDist(h)
+		ent.val = e.Price(h)
 	})
 	return ent.val
 }
 
-func (e *Estimator) rawDist(h Hypothesis) float64 {
-	if e.Pricer != nil {
-		if v, ok := e.Pricer(h); ok {
-			e.pricerOK.Add(1)
-			return v
-		}
-		e.pricerMiss.Add(1)
-	}
-	charts := e.Hypothetical(h)
-	total, summed := 0.0, false
-	for i, base := range e.Bases {
-		if i >= len(charts) || charts[i] == nil {
-			continue
-		}
-		d := e.Dist(base, charts[i])
-		if summed {
-			total += d
-		} else {
-			// Start from the first term, not from 0.0: 0 + −0.0 is +0.0,
-			// so a one-view price would lose the sign of a −0.0 distance.
-			total, summed = d, true
-		}
-	}
-	return total
-}
-
-// Evals reports the number of hypothetical visualizations actually
-// derived so far (memo cache misses). The experiment harness reports
-// this as benefit-model work; it is deterministic — the set of unique
-// hypotheses priced does not depend on the worker count.
+// Evals reports the number of hypotheses actually priced so far (memo
+// cache misses). The experiment harness reports this as benefit-model
+// work; it is deterministic — the set of unique hypotheses priced does
+// not depend on the worker count.
 func (e *Estimator) Evals() int { return int(e.evals.Load()) }
 
 // TBenefit computes Eq. 6 for a T-question: pY·dist^Y + (1−pY)·dist^N,
@@ -281,9 +221,9 @@ func (e *Estimator) RepairBenefit(r *erg.VertexRepair) float64 {
 // writes only its own edge's (or repair's) Benefit field — the
 // index-write rule — so the annotated ERG is bit-identical to a
 // sequential run regardless of the worker count. It returns the number
-// of hypothetical visualizations evaluated (the experiment harness
-// reports this as benefit-model work); memoization makes this the count
-// of unique hypotheses, not of questions.
+// of hypotheses priced (the experiment harness reports this as
+// benefit-model work); memoization makes this the count of unique
+// hypotheses, not of questions.
 func (e *Estimator) Annotate(g *erg.Graph) int {
 	before := e.evals.Load()
 	nEdges := g.NumEdges()

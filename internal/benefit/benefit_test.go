@@ -5,50 +5,20 @@ import (
 	"testing"
 
 	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/erg"
-	"visclean/internal/vis"
 )
 
-func chart(ys ...float64) *vis.Data {
-	d := &vis.Data{Type: vis.Bar}
-	for i, y := range ys {
-		d.Points = append(d.Points, vis.Point{Label: string(rune('A' + i)), Y: y})
-	}
-	return d
-}
-
-// fakeWorld prices hypotheses from a fixed lookup of resulting charts.
-type fakeWorld struct {
-	base  *vis.Data
-	after map[HypKind]*vis.Data
-}
-
-func (w *fakeWorld) estimator() *Estimator {
-	return &Estimator{
-		Dist:  distance.EMD,
-		Bases: []*vis.Data{w.base},
-		Hypothetical: func(h Hypothesis) []*vis.Data {
-			return []*vis.Data{w.after[h.Kind]}
-		},
-	}
+// byKind prices every hypothesis from a fixed per-kind lookup; kinds
+// not in the map price as zero.
+func byKind(prices map[HypKind]float64) *Estimator {
+	return &Estimator{Price: func(h Hypothesis) float64 { return prices[h.Kind] }}
 }
 
 func TestTBenefitWeighting(t *testing.T) {
-	base := chart(1, 1)
-	confirmVis := chart(3, 1) // some distance dY > 0
-	splitVis := base.Clone()  // no change: dN = 0
-	w := &fakeWorld{base: base, after: map[HypKind]*vis.Data{
-		TConfirm: confirmVis,
-		TSplit:   splitVis,
-	}}
-	e := w.estimator()
+	const dY = 0.375 // a confirm moves the chart; a split does not
+	e := byKind(map[HypKind]float64{TConfirm: dY, TSplit: 0})
 	pair := em.MakePair(1, 2)
-	dY := distance.EMD(base, confirmVis)
-	if dY <= 0 {
-		t.Fatal("test setup: dY must be positive")
-	}
 	for _, pY := range []float64{0, 0.25, 0.5, 1} {
 		got := e.TBenefit(pair, pY)
 		want := pY * dY
@@ -59,12 +29,8 @@ func TestTBenefitWeighting(t *testing.T) {
 }
 
 func TestABenefitRejectIsFree(t *testing.T) {
-	base := chart(2, 1)
-	w := &fakeWorld{base: base, after: map[HypKind]*vis.Data{
-		AApprove: chart(3, 0),
-	}}
-	e := w.estimator()
-	dY := distance.EMD(base, w.after[AApprove])
+	const dY = 0.25
+	e := byKind(map[HypKind]float64{AApprove: dY})
 	if got := e.ABenefit("Venue", "VLDB", "Very Large Data Bases", 0.8); math.Abs(got-0.8*dY) > 1e-12 {
 		t.Fatalf("ABenefit = %v, want %v", got, 0.8*dY)
 	}
@@ -74,82 +40,19 @@ func TestABenefitRejectIsFree(t *testing.T) {
 }
 
 func TestMAndOBenefitAreUnweighted(t *testing.T) {
-	base := chart(1, 2)
-	after := chart(5, 2)
-	w := &fakeWorld{base: base, after: map[HypKind]*vis.Data{
-		MImpute: after,
-		ORepair: after,
-	}}
-	e := w.estimator()
-	d := distance.EMD(base, after)
-	if got := e.MBenefit(7, 55); math.Abs(got-d) > 1e-12 {
+	const d = 0.4
+	e := byKind(map[HypKind]float64{MImpute: d, ORepair: d})
+	if got := e.MBenefit(7, 55); got != d {
 		t.Fatalf("MBenefit = %v, want %v", got, d)
 	}
-	if got := e.OBenefit(2, 174); math.Abs(got-d) > 1e-12 {
+	if got := e.OBenefit(2, 174); got != d {
 		t.Fatalf("OBenefit = %v, want %v", got, d)
 	}
 }
 
-func TestNilHypotheticalPricesZero(t *testing.T) {
-	e := &Estimator{
-		Dist:         distance.EMD,
-		Bases:        []*vis.Data{chart(1, 2)},
-		Hypothetical: func(Hypothesis) []*vis.Data { return nil },
-	}
-	if got := e.TBenefit(em.MakePair(1, 2), 0.5); got != 0 {
-		t.Fatalf("nil hypothetical priced %v", got)
-	}
-}
-
-// TestOneViewPriceKeepsNegativeZero pins where the per-view sum starts:
-// at the first term. A one-view estimator then prices exactly
-// Dist(base, chart), sign of zero included; a sum started from 0.0
-// would turn a −0.0 distance into +0.0.
-func TestOneViewPriceKeepsNegativeZero(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	e := &Estimator{
-		Dist:         func(a, b *vis.Data) float64 { return negZero },
-		Bases:        []*vis.Data{chart(1, 2)},
-		Hypothetical: func(Hypothesis) []*vis.Data { return []*vis.Data{chart(2, 1)} },
-	}
-	if got := e.MBenefit(7, 1); math.Float64bits(got) != math.Float64bits(negZero) {
-		t.Fatalf("one-view price = %v (bits %016x), want -0 (bits %016x)",
-			got, math.Float64bits(got), math.Float64bits(negZero))
-	}
-}
-
-// TestNilViewChartDropsOnlyItsTerm: a three-view price whose middle
-// chart is nil is exactly d0 + d2.
-func TestNilViewChartDropsOnlyItsTerm(t *testing.T) {
-	bases := []*vis.Data{chart(1, 2, 3), chart(4, 4), chart(0.1, 0.7)}
-	after := []*vis.Data{chart(1, 1, 4), nil, chart(0.3, 0.3)}
-	e := &Estimator{
-		Dist:         distance.EMD,
-		Bases:        bases,
-		Hypothetical: func(Hypothesis) []*vis.Data { return after },
-	}
-	d0, d2 := distance.EMD(bases[0], after[0]), distance.EMD(bases[2], after[2])
-	if d0 == 0 || d2 == 0 {
-		t.Fatal("test setup: both distances must be non-zero")
-	}
-	if got, want := e.OBenefit(3, 9), d0+d2; math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("three-view price = %v, want d0 + d2 = %v", got, want)
-	}
-}
-
 func TestAnnotateFillsGraph(t *testing.T) {
-	base := chart(1, 1, 1)
-	afterAny := chart(4, 1, 1)
-	e := &Estimator{
-		Dist:  distance.EMD,
-		Bases: []*vis.Data{base},
-		Hypothetical: func(h Hypothesis) []*vis.Data {
-			if h.Kind == TSplit {
-				return []*vis.Data{base.Clone()}
-			}
-			return []*vis.Data{afterAny}
-		},
-	}
+	const d = 0.5 // every hypothesis but a split moves the chart by d
+	e := byKind(map[HypKind]float64{TConfirm: d, AApprove: d, MImpute: d, ORepair: d})
 	g := erg.MustNew([]dataset.TupleID{1, 2, 3})
 	if err := g.AddEdge(erg.Edge{A: 1, B: 2, HasT: true, PT: 0.6, HasA: true, PA: 0.5, AV1: "a", AV2: "b"}); err != nil {
 		t.Fatal(err)
@@ -165,7 +68,6 @@ func TestAnnotateFillsGraph(t *testing.T) {
 	if evals != 6 {
 		t.Fatalf("evals = %d, want 6", evals)
 	}
-	d := distance.EMD(base, afterAny)
 	wantE0 := 0.6*d + 0.5*d
 	if got := g.Edge(0).Benefit; math.Abs(got-wantE0) > 1e-12 {
 		t.Fatalf("edge 0 benefit = %v, want %v", got, wantE0)
@@ -198,16 +100,11 @@ func TestExample5Accounting(t *testing.T) {
 }
 
 func TestMemoizationPricesUniqueHypothesesOnce(t *testing.T) {
-	base := chart(1, 2)
 	var calls int
-	e := &Estimator{
-		Dist:  distance.EMD,
-		Bases: []*vis.Data{base},
-		Hypothetical: func(h Hypothesis) []*vis.Data {
-			calls++
-			return []*vis.Data{chart(3, 2)}
-		},
-	}
+	e := &Estimator{Price: func(h Hypothesis) float64 {
+		calls++
+		return 0.5
+	}}
 	// Symmetric forms canonicalize to one memo slot: (1,2) vs (2,1)
 	// pairs, ("a","b") vs ("b","a") value pairs.
 	b1 := e.TBenefit(em.Pair{A: 1, B: 2}, 0.5)
@@ -223,9 +120,12 @@ func TestMemoizationPricesUniqueHypothesesOnce(t *testing.T) {
 	e.MBenefit(7, 10)
 	e.MBenefit(7, 10) // repeat: memo hit
 	// Unique hypotheses: TConfirm(1,2), TSplit(1,2), AApprove(a,b),
-	// MImpute(7,10) -> 4 evaluations, regardless of the 7 calls above.
+	// MImpute(7,10) -> 4 evaluations of the 8 prices requested above.
 	if calls != 4 || e.Evals() != 4 {
-		t.Fatalf("Hypothetical called %d times, Evals() = %d; want 4", calls, e.Evals())
+		t.Fatalf("Price called %d times, Evals() = %d; want 4", calls, e.Evals())
+	}
+	if st := e.Stats(); st.Calls != 8 || st.Evals != 4 || st.MemoHits != 4 {
+		t.Fatalf("Stats() = %+v, want 8 calls, 4 evals, 4 memo hits", st)
 	}
 	// A distinct hypothesis is a miss.
 	e.MBenefit(7, 11)
@@ -239,14 +139,11 @@ func TestAnnotateWorkerCountInvariance(t *testing.T) {
 	// benefits (the index-write rule); the hypothesis set priced is the
 	// same, so Evals matches too.
 	build := func(workers int) (*erg.Graph, int) {
-		base := chart(1, 1, 1, 1)
 		e := &Estimator{
-			Dist:    distance.EMD,
-			Bases:   []*vis.Data{base},
 			Workers: workers,
-			Hypothetical: func(h Hypothesis) []*vis.Data {
-				// A distinct, deterministic chart per hypothesis.
-				return []*vis.Data{chart(float64(h.Kind)+1, float64(h.ID), h.Value, float64(h.Pair.A)+float64(h.Pair.B))}
+			// A distinct, deterministic price per hypothesis.
+			Price: func(h Hypothesis) float64 {
+				return 1/(float64(h.Kind)+1) + float64(h.ID)*0.01 + h.Value*0.001 + float64(h.Pair.A+h.Pair.B)*0.1
 			},
 		}
 		g := erg.MustNew([]dataset.TupleID{1, 2, 3, 4, 5})

@@ -70,3 +70,28 @@ func TestDefaultIdentity(t *testing.T) {
 		t.Fatalf("Default positional identity = %v", got)
 	}
 }
+
+// TestNaNDistanceIsCanonical: a NaN distance (a NaN mark, or +Inf and
+// −Inf masses) always carries math.NaN()'s bits, from Default and from
+// Baseline alike, whichever NaN operand the compiled arithmetic met
+// first. FuzzBaseline's instrumented build once saw the two differ.
+func TestNaNDistanceIsCanonical(t *testing.T) {
+	inf := math.Inf(1)
+	charts := []*vis.Data{
+		categorical([]string{"a", "b"}, []float64{inf, math.NaN()}),
+		categorical([]string{"a", "b", "c"}, []float64{-inf, 2, inf}),
+		binned([]float64{0, 1, 0}, []float64{3.5, math.NaN(), -inf}),
+		binned([]float64{0}, []float64{3.5}),
+		categorical([]string{"a"}, []float64{1}),
+	}
+	want := math.Float64bits(math.NaN())
+	for i, a := range charts {
+		for j, b := range charts {
+			for name, got := range map[string]float64{"Default": Default(a, b), "Baseline": NewBaseline(Default, a).Distance(b)} {
+				if math.IsNaN(got) && math.Float64bits(got) != want {
+					t.Errorf("%s(chart %d, chart %d) = NaN with bits %016x, want %016x", name, i, j, math.Float64bits(got), want)
+				}
+			}
+		}
+	}
+}

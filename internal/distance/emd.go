@@ -24,9 +24,22 @@ import (
 // deviation.
 func Default(a, b *vis.Data) float64 {
 	if allPositional(a) && allPositional(b) {
-		return EMD1D(a, b)
+		return canonicalNaN(EMD1D(a, b))
 	}
-	return L1(a, b)
+	return canonicalNaN(L1(a, b))
+}
+
+// canonicalNaN returns d, or math.NaN() when d is a NaN. A chart with a
+// NaN mark, or with +Inf and −Inf masses, has a NaN distance, and its
+// bits are those of whichever NaN operand the compiled arithmetic met
+// first; for a commutative operation that order is the compiler's, so
+// it can differ between Default and Baseline, and between builds. One
+// NaN keeps the two bit-identical.
+func canonicalNaN(d float64) float64 {
+	if math.IsNaN(d) {
+		return math.NaN()
+	}
+	return d
 }
 
 func allPositional(d *vis.Data) bool {

@@ -98,9 +98,9 @@ func (b *Baseline) Distance(after *vis.Data) float64 {
 		return b.dist(b.base, after)
 	}
 	if b.basePositional && allPositional(after) {
-		return b.emd1d(after)
+		return canonicalNaN(b.emd1d(after))
 	}
-	return b.l1(after)
+	return canonicalNaN(b.l1(after))
 }
 
 // emd1d integrates |CDF_base − CDF_after| over the merged support,

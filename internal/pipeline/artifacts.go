@@ -260,7 +260,7 @@ func (s *Session) installBootstrap(a *embootArtifact) {
 	s.dirtyIDs = nil
 	s.mergeList = nil // no auto-merging before the first user label
 	s.rebuildStandardizers()
-	s.clusters = s.buildClusters(nil, nil)
+	s.clusters = s.buildClusters()
 	s.maintainKnnIndex()
 }
 

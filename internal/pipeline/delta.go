@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -40,15 +41,17 @@ import (
 // therefore be regrouped among themselves.
 //
 // Bit-identity: every float produced here is computed by the same code
-// in the same order as the full path — rows and cells via viewRowFor
-// and viewCellFor (shared with buildView; a row's columns resolve
-// independently, so a committed row with its touched columns
-// re-resolved equals the row rebuilt in full), charts via
-// vql.Incremental (contract-tested against Execute), distances via
-// distance.Baseline (replays Default's exact arithmetic). price returns
-// ok=false whenever a hypothesis falls outside the incremental fast path
-// (unknown value, construction failure); the estimator then falls back
-// to the full rebuild, so correctness never depends on coverage.
+// in the same order as a full rebuild of the hypothetical relation —
+// rows and cells via viewRowFor and viewCellFor (shared with buildView;
+// a row's columns resolve independently, so a committed row with its
+// touched columns re-resolved equals the row rebuilt in full), charts
+// via vql.Incremental (contract-tested against Execute), distances via
+// distance.Baseline (replays Default's exact arithmetic). That rebuild
+// is the tests' reference (PriceEveryHypothesis). The pricer is total:
+// it prices every hypothesis, because a live tuple lies in exactly one
+// base group, every value an A-question or T-pair equation names is a
+// cell of a live tuple (so the posting index knows it), and repairs
+// rewrite only yCol.
 //
 // The pricer is immutable after construction and safe for concurrent
 // price calls: it reads only frozen session state, the committed
@@ -81,28 +84,25 @@ type deltaPricer struct {
 	// replay also knows which base groups hold an endpoint of a user
 	// cannot-link (Touched); the T fast paths 3 and 4 (see priceVia)
 	// are only sound for groups no cannot-link touches.
-	replay   *em.SplitReplay
-	yNumeric bool
+	replay *em.SplitReplay
 }
 
 // newDeltaPricer captures the base state of one iteration from the
-// committed relation. Callers must freezeShared first. Returns nil when
-// a view's chart cannot be derived or its query cannot be evaluated
-// incrementally (the estimator then uses the full path throughout).
-func (s *Session) newDeltaPricer() *deltaPricer {
+// committed relation. Callers must freezeShared first. It fails only
+// when a view's chart cannot be derived.
+func (s *Session) newDeltaPricer() (*deltaPricer, error) {
 	if _, err := s.relCharts(); err != nil {
-		return nil
+		return nil, err
 	}
 	rel := s.relRows()
 	p := &deltaPricer{
-		s:        s,
-		bases:    s.relBaselines(),
-		groups:   rel.groups,
-		rows:     rel.rows,
-		groupOf:  make(map[dataset.TupleID]int),
-		posting:  make(map[string]map[string][]int),
-		rawRep:   make(map[string]map[string]string),
-		yNumeric: s.table.Schema()[s.yCol].Kind == dataset.Float,
+		s:       s,
+		bases:   s.relBaselines(),
+		groups:  rel.groups,
+		rows:    rel.rows,
+		groupOf: make(map[dataset.TupleID]int),
+		posting: make(map[string]map[string][]int),
+		rawRep:  make(map[string]map[string]string),
 	}
 	p.ranks = make([]int64, len(p.groups))
 
@@ -120,7 +120,7 @@ func (s *Session) newDeltaPricer() *deltaPricer {
 	for v, q := range s.queries {
 		exec, err := q.NewIncremental(s.table.Schema(), rows)
 		if err != nil {
-			return nil
+			return nil, fmt.Errorf("pipeline: pricing view %d: %w", v, err)
 		}
 		p.execs[v] = exec
 	}
@@ -164,7 +164,7 @@ func (s *Session) newDeltaPricer() *deltaPricer {
 		Split:     s.split,
 	})
 	p.replay = p.builder.NewSplitReplay(p.groupOf)
-	return p
+	return p, nil
 }
 
 // pricePath names the way priceVia evaluated a hypothesis. DESIGN.md
@@ -182,201 +182,162 @@ const (
 	numPricePaths
 )
 
-// price evaluates one (canonicalized) hypothesis incrementally. ok=false
-// requests the full-rebuild fallback.
-func (p *deltaPricer) price(h benefit.Hypothesis) (float64, bool) {
-	dist, _, ok := p.priceVia(h)
-	return dist, ok
+// price evaluates one (canonicalized) hypothesis incrementally.
+func (p *deltaPricer) price(h benefit.Hypothesis) float64 {
+	dist, _ := p.priceVia(h)
+	return dist
 }
 
-// priceVia is price, also naming the path it took.
-func (p *deltaPricer) priceVia(h benefit.Hypothesis) (float64, pricePath, bool) {
+// priceVia is price, also naming the path it took. An inapplicable
+// hypothesis (an unknown tuple, a column with no standardizer) prices
+// as zero, as it would over the unchanged charts.
+func (p *deltaPricer) priceVia(h benefit.Hypothesis) (float64, pricePath) {
 	switch h.Kind {
 	case benefit.MImpute, benefit.ORepair:
-		// Guards mirror hypotheticalVis: an inapplicable repair prices as
-		// zero on the full path (nil hypothetical chart).
-		if _, ok := p.s.table.RowIndex(h.ID); !ok {
-			return 0, pathCell, true
-		}
-		if !p.yNumeric {
-			return 0, pathCell, true
-		}
-		gi, ok := p.groupOf[h.ID]
-		if !ok {
-			return 0, pathCell, false
-		}
+		// Overlay.Set refuses an unknown tuple and a non-numeric yCol.
 		ov := p.s.table.Overlay()
 		if ov.Set(h.ID, p.s.yCol, dataset.Num(h.Value)) != nil {
-			return 0, pathCell, false
+			return 0, pathCell
 		}
-		dist, ok := p.eval(nil, nil, []int{gi}, []int{p.s.yCol}, p.s.std, ov)
-		return dist, pathCell, ok
+		// The tuple is live, so it lies in exactly one base group.
+		return p.eval(nil, nil, []int{p.groupOf[h.ID]}, []int{p.s.yCol}, p.s.std, ov), pathCell
 
 	case benefit.AApprove:
 		if p.s.std[h.Column] == nil {
-			return 0, pathApprove, true // full path: nil hypothetical chart
+			return 0, pathApprove
 		}
 		changes := []stdChange{{col: p.s.table.ColumnIndex(h.Column), name: h.Column, v1: h.V1, v2: h.V2}}
-		dirty, ok := p.postingDirty(changes)
-		if !ok {
-			return 0, pathApprove, false
-		}
-		dist, ok := p.eval(nil, nil, dirty, changeCols(changes), p.s.stdOverride(changes), nil)
-		return dist, pathApprove, ok
-
-	case benefit.TConfirm, benefit.TSplit:
-		// Fast paths that skip the full union-find rebuild. Each is
-		// provably partition-exact (see DESIGN.md §10 for the arguments;
-		// the pricer-equivalence suite enforces bit-identity):
-		//
-		//   - a cannot-link between tuples already in different base
-		//     clusters blocks nothing — had any merge been newly
-		//     blocked, its first occurrence would require the two
-		//     trajectories to unite, contradicting their distinct final
-		//     groups. Partition unchanged.
-		//   - a must-link inside one base cluster commutes with the
-		//     merges that formed that cluster: the early union never
-		//     introduces a block (a cannot-link between any two of the
-		//     cluster's parts or absorbed groups would have prevented
-		//     the cluster from forming). Partition unchanged; only the
-		//     implied A-equations' posting-dirty groups re-resolve.
-		//   - a must-link across two base clusters neither touched by
-		//     any cannot-link is exactly their two-group union: any
-		//     additional merge into the combined group would need a
-		//     blocked/unblocked decision to flip, which requires a
-		//     cannot-link endpoint inside one of the two groups.
-		//   - a cannot-link inside a base cluster no cannot-link touches
-		//     splits only that cluster, into the parts a replay of the
-		//     merges inside it yields (em.SplitReplay): nothing inside
-		//     the cluster interacts with anything outside it.
-		giA, okA := p.groupOf[h.Pair.A]
-		giB, okB := p.groupOf[h.Pair.B]
-		if okA && okB {
-			if h.Kind == benefit.TSplit {
-				if giA != giB {
-					dist, ok := p.eval(nil, nil, nil, nil, p.s.std, nil)
-					return dist, pathSplitApart, ok
-				}
-				if parts, ok := p.replay.Split(giA, p.groups[giA], h.Pair); ok {
-					dist, ok := p.eval([]int{giA}, parts, nil, nil, p.s.std, nil)
-					return dist, pathSplitInside, ok
-				}
-			}
-			if h.Kind == benefit.TConfirm {
-				changes := p.s.tPairChanges(h.Pair)
-				postDirty, ok := p.postingDirty(changes)
-				if !ok {
-					return 0, pathConfirmInside, false
-				}
-				std := p.s.std
-				if override := p.s.stdOverride(changes); override != nil {
-					std = override
-				}
-				cols := changeCols(changes)
-				if giA == giB {
-					dist, ok := p.eval(nil, nil, postDirty, cols, std, nil)
-					return dist, pathConfirmInside, ok
-				}
-				if !p.replay.Touched(giA) && !p.replay.Touched(giB) {
-					merged := make([]dataset.TupleID, 0, len(p.groups[giA])+len(p.groups[giB]))
-					merged = append(merged, p.groups[giA]...)
-					merged = append(merged, p.groups[giB]...)
-					sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-					retouched := make([]int, 0, len(postDirty))
-					for _, gi := range postDirty {
-						if gi != giA && gi != giB {
-							retouched = append(retouched, gi)
-						}
-					}
-					dist, ok := p.eval([]int{giA, giB}, [][]dataset.TupleID{merged}, retouched, cols, std, nil)
-					return dist, pathConfirmAcross, ok
-				}
-			}
-		}
-
-		var cl *em.Clusters
-		var changes []stdChange
-		if h.Kind == benefit.TConfirm {
-			cl = p.builder.Build([]em.Pair{h.Pair}, nil)
-			changes = p.s.tPairChanges(h.Pair)
-		} else {
-			cl = p.builder.Build(nil, []em.Pair{h.Pair})
-		}
-		postDirty, ok := p.postingDirty(changes)
-		if !ok {
-			return 0, pathRebuild, false
-		}
-		std := p.s.std
-		if override := p.s.stdOverride(changes); override != nil {
-			std = override
-		}
-
-		// Partition diff: base clusters no longer intact are dissolved and
-		// their tuples regrouped by their hypothetical root.
-		var dissolved []int
-		var dirtyTuples []dataset.TupleID
-		partDirty := make(map[int]struct{})
-		for gi, g := range p.groups {
-			if !cl.GroupIntact(g) {
-				dissolved = append(dissolved, gi)
-				partDirty[gi] = struct{}{}
-				dirtyTuples = append(dirtyTuples, g...)
-			}
-		}
-		byRoot := make(map[int][]dataset.TupleID)
-		var rootOrder []int
-		for _, id := range dirtyTuples {
-			root, ok := cl.Root(id)
-			if !ok {
-				return 0, pathRebuild, false
-			}
-			if _, seen := byRoot[root]; !seen {
-				rootOrder = append(rootOrder, root)
-			}
-			byRoot[root] = append(byRoot[root], id)
-		}
-		regrouped := make([][]dataset.TupleID, 0, len(rootOrder))
-		for _, root := range rootOrder {
-			members := byRoot[root]
-			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-			regrouped = append(regrouped, members)
-		}
-		// Posting-dirty clusters keep their membership but re-resolve the
-		// equated columns (unless already dissolved).
-		retouched := make([]int, 0, len(postDirty))
-		for _, gi := range postDirty {
-			if _, gone := partDirty[gi]; !gone {
-				retouched = append(retouched, gi)
-			}
-		}
-		dist, ok := p.eval(dissolved, regrouped, retouched, changeCols(changes), std, nil)
-		return dist, pathRebuild, ok
-
-	default:
-		return 0, pathRebuild, false
+		return p.eval(nil, nil, p.postingDirty(changes), changeCols(changes), p.s.stdOverride(changes), nil), pathApprove
 	}
+
+	// A T-answer. Fast paths that skip the full union-find rebuild. Each
+	// is provably partition-exact (see DESIGN.md §10 for the arguments;
+	// the pricer-equivalence suite enforces bit-identity):
+	//
+	//   - a cannot-link between tuples already in different base
+	//     clusters blocks nothing — had any merge been newly blocked,
+	//     its first occurrence would require the two trajectories to
+	//     unite, contradicting their distinct final groups. Partition
+	//     unchanged.
+	//   - a must-link inside one base cluster commutes with the merges
+	//     that formed that cluster: the early union never introduces a
+	//     block (a cannot-link between any two of the cluster's parts
+	//     or absorbed groups would have prevented the cluster from
+	//     forming). Partition unchanged; only the implied A-equations'
+	//     posting-dirty groups re-resolve.
+	//   - a must-link across two base clusters neither touched by any
+	//     cannot-link is exactly their two-group union: any additional
+	//     merge into the combined group would need a blocked/unblocked
+	//     decision to flip, which requires a cannot-link endpoint inside
+	//     one of the two groups.
+	//   - a cannot-link inside a base cluster no cannot-link touches
+	//     splits only that cluster, into the parts a replay of the
+	//     merges inside it yields (em.SplitReplay): nothing inside the
+	//     cluster interacts with anything outside it.
+	giA, okA := p.groupOf[h.Pair.A]
+	giB, okB := p.groupOf[h.Pair.B]
+	if okA && okB {
+		if h.Kind == benefit.TSplit {
+			if giA != giB {
+				return p.eval(nil, nil, nil, nil, p.s.std, nil), pathSplitApart
+			}
+			if parts, ok := p.replay.Split(giA, p.groups[giA], h.Pair); ok {
+				return p.eval([]int{giA}, parts, nil, nil, p.s.std, nil), pathSplitInside
+			}
+		}
+		if h.Kind == benefit.TConfirm {
+			changes := p.s.tPairChanges(h.Pair)
+			postDirty := p.postingDirty(changes)
+			std := p.s.std
+			if override := p.s.stdOverride(changes); override != nil {
+				std = override
+			}
+			cols := changeCols(changes)
+			if giA == giB {
+				return p.eval(nil, nil, postDirty, cols, std, nil), pathConfirmInside
+			}
+			if !p.replay.Touched(giA) && !p.replay.Touched(giB) {
+				merged := make([]dataset.TupleID, 0, len(p.groups[giA])+len(p.groups[giB]))
+				merged = append(merged, p.groups[giA]...)
+				merged = append(merged, p.groups[giB]...)
+				sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
+				retouched := make([]int, 0, len(postDirty))
+				for _, gi := range postDirty {
+					if gi != giA && gi != giB {
+						retouched = append(retouched, gi)
+					}
+				}
+				return p.eval([]int{giA, giB}, [][]dataset.TupleID{merged}, retouched, cols, std, nil), pathConfirmAcross
+			}
+		}
+	}
+
+	var cl *em.Clusters
+	var changes []stdChange
+	if h.Kind == benefit.TConfirm {
+		cl = p.builder.Build([]em.Pair{h.Pair}, nil)
+		changes = p.s.tPairChanges(h.Pair)
+	} else {
+		cl = p.builder.Build(nil, []em.Pair{h.Pair})
+	}
+	postDirty := p.postingDirty(changes)
+	std := p.s.std
+	if override := p.s.stdOverride(changes); override != nil {
+		std = override
+	}
+
+	// Partition diff: base clusters no longer intact are dissolved and
+	// their tuples regrouped by their hypothetical root.
+	var dissolved []int
+	var dirtyTuples []dataset.TupleID
+	partDirty := make(map[int]struct{})
+	for gi, g := range p.groups {
+		if !cl.GroupIntact(g) {
+			dissolved = append(dissolved, gi)
+			partDirty[gi] = struct{}{}
+			dirtyTuples = append(dirtyTuples, g...)
+		}
+	}
+	byRoot := make(map[int][]dataset.TupleID)
+	var rootOrder []int
+	for _, id := range dirtyTuples {
+		// A base group's members are live tuples, which every
+		// hypothetical partition roots.
+		root, _ := cl.Root(id)
+		if _, seen := byRoot[root]; !seen {
+			rootOrder = append(rootOrder, root)
+		}
+		byRoot[root] = append(byRoot[root], id)
+	}
+	regrouped := make([][]dataset.TupleID, 0, len(rootOrder))
+	for _, root := range rootOrder {
+		members := byRoot[root]
+		sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
+		regrouped = append(regrouped, members)
+	}
+	// Posting-dirty clusters keep their membership but re-resolve the
+	// equated columns (unless already dissolved).
+	retouched := make([]int, 0, len(postDirty))
+	for _, gi := range postDirty {
+		if _, gone := partDirty[gi]; !gone {
+			retouched = append(retouched, gi)
+		}
+	}
+	return p.eval(dissolved, regrouped, retouched, changeCols(changes), std, nil), pathRebuild
 }
 
 // postingDirty lists, ascending, the groups in the posting lists of
-// every change's two value classes. ok=false when a value is unknown to
-// the base index.
-func (p *deltaPricer) postingDirty(changes []stdChange) ([]int, bool) {
+// every change's two value classes. Both values of a change are cells
+// of live tuples, so the base index knows them.
+func (p *deltaPricer) postingDirty(changes []stdChange) []int {
 	var out []int
 	for _, ch := range changes {
 		reps := p.rawRep[ch.name]
-		if reps == nil {
-			return nil, false
-		}
-		r1, ok1 := reps[ch.v1]
-		r2, ok2 := reps[ch.v2]
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		out = append(out, p.posting[ch.name][r1]...)
-		out = append(out, p.posting[ch.name][r2]...)
+		out = append(out, p.posting[ch.name][reps[ch.v1]]...)
+		out = append(out, p.posting[ch.name][reps[ch.v2]]...)
 	}
 	slices.Sort(out)
-	return slices.Compact(out), true
+	return slices.Compact(out)
 }
 
 // changeCols lists the columns a set of value equations rewrites.
@@ -394,7 +355,7 @@ func changeCols(changes []stdChange) []int {
 // consolidate in full. Retouched base groups keep their members, so
 // their committed row is reused with only cols re-resolved under std
 // and ov — a group with no committed row still has none.
-func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retouched, cols []int, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) (float64, bool) {
+func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retouched, cols []int, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) float64 {
 	ranks := make([]int64, 0, len(dissolved)+len(retouched))
 	added := make([]vql.IncRow, 0, len(regrouped)+len(retouched))
 	for _, gi := range dissolved {
@@ -419,19 +380,15 @@ func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retou
 		}
 	}
 	sort.Slice(added, func(a, b int) bool { return added[a].Rank < added[b].Rank })
-	// The estimator's sum: registration order, from the first term. A
-	// NaN mark declines the hypothesis to the full rebuild.
+	// The views' sum, in registration order from the first term: a sum
+	// started at 0.0 would turn a one-view −0 distance into +0.
 	var total float64
 	for v, exec := range p.execs {
-		chart, ok := exec.Eval(ranks, added)
-		if !ok {
-			return 0, false
-		}
-		if d := p.bases[v].Distance(chart); v == 0 {
+		if d := p.bases[v].Distance(exec.Eval(ranks, added)); v == 0 {
 			total = d
 		} else {
 			total += d
 		}
 	}
-	return total, true
+	return total
 }

@@ -1,10 +1,10 @@
 package pipeline
 
 // The incremental-pricing equivalence suite. The delta pricer's contract
-// is that it is a pure optimization: for every hypothesis it either
-// returns the exact float the full rebuild path would (bit-identical,
-// not approximately equal), or declines so the estimator falls back.
-// These tests hold the pricer to the full rebuild at every state whole
+// is that it is a pure optimization: for every hypothesis it returns the
+// exact float the full hypothetical rebuild would (bit-identical, not
+// approximately equal); the rebuild lives in export_test.go as the
+// reference. These tests hold the pricer to it at every state whole
 // sessions reach, across selectors and seeds: before each iteration,
 // PriceEveryHypothesis prices every hypothesis of the session's current
 // ERG both ways. TestIncrementalPricingBitIdentical in pricing_test.go
@@ -14,12 +14,18 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"visclean/internal/benefit"
+	"visclean/internal/datagen"
+	"visclean/internal/vis"
+	"visclean/internal/vql"
 )
 
 // checkPricingAlongSession runs a seeded session for up to four
-// iterations and, before each, requires every hypothesis the pricer
-// accepts to carry the full rebuild's exact bits.
+// iterations and, before each, requires every hypothesis to carry the
+// full rebuild's exact bits.
 func checkPricingAlongSession(t *testing.T, selector SelectorKind, seed int64) {
 	t.Helper()
 	s, user := newDetSession(t, selector, seed, 1)
@@ -39,7 +45,7 @@ func checkPricingAlongSession(t *testing.T, selector SelectorKind, seed int64) {
 		}
 	}
 	if priced == 0 {
-		t.Fatalf("%s seed %d: the delta pricer accepted no hypotheses", selector, seed)
+		t.Fatalf("%s seed %d: no hypotheses priced", selector, seed)
 	}
 }
 
@@ -62,4 +68,64 @@ func TestIncrementalFullSessionEquivalence(t *testing.T) {
 // selector's.
 func TestIncrementalSingleBaseline(t *testing.T) {
 	checkPricingAlongSession(t, SelectSingle, 7)
+}
+
+// TestPricerKeepsNegativeZero pins where the per-view sum starts: at the
+// first term. In a one-view session whose distance is −0, an M or O
+// repair's benefit is exactly −0 through deltaPricer.eval; a sum started
+// at 0.0 would turn it into +0.
+func TestPricerKeepsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	d := datagen.D1(datagen.Config{Scale: 0.004, Seed: 7})
+	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
+	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{
+		Seed: 7, Workers: 1,
+		Dist: func(a, b *vis.Data) float64 { return negZero },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.freezeShared()
+	est, err := s.newEstimator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.table.ID(0)
+	for name, got := range map[string]float64{"M": est.MBenefit(id, 1), "O": est.OBenefit(id, 2)} {
+		if math.Float64bits(got) != math.Float64bits(negZero) {
+			t.Errorf("one-view %s benefit = %v (bits %016x), want -0 (bits %016x)",
+				name, got, math.Float64bits(got), math.Float64bits(negZero))
+		}
+	}
+}
+
+// TestPricerInapplicablePricesZero: a repair of an unknown tuple and an
+// approval in a column with no standardizer change nothing, so the
+// pricer prices them 0, as the reference does when it finds them
+// inapplicable.
+func TestPricerInapplicablePricesZero(t *testing.T) {
+	s, _ := newDetSession(t, SelectGSS, 7, 1)
+	bases, err := s.CurrentVisAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.freezeShared()
+	p, err := s.newDeltaPricer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []benefit.Hypothesis{
+		{Kind: benefit.MImpute, ID: 1 << 30, Value: 3},
+		{Kind: benefit.ORepair, ID: -1, Value: 3},
+		{Kind: benefit.AApprove, Column: "Title", V1: "a", V2: "b"},
+		{Kind: benefit.AApprove, Column: "NoSuchColumn", V1: "a", V2: "b"},
+	} {
+		if s.hypotheticalVis(h) != nil {
+			t.Fatalf("%+v: the reference finds it applicable", h)
+		}
+		got, want := p.price(h), fullPrice(s, h, bases)
+		if math.Float64bits(got) != 0 || math.Float64bits(want) != 0 {
+			t.Errorf("%+v: priced %v, reference %v; want 0", h, got, want)
+		}
+	}
 }

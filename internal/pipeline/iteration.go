@@ -16,7 +16,6 @@ import (
 	"visclean/internal/impute"
 	"visclean/internal/outlier"
 	"visclean/internal/stringsim"
-	"visclean/internal/vis"
 )
 
 // questionSet is one iteration's repairing-candidate set Q = Q_T ∪ Q_A ∪
@@ -70,11 +69,11 @@ func (s *Session) RunIterationCtx(ctx context.Context, user User) (Report, error
 	rep.DetectFallbacks = s.lastDetect.fallbacks
 
 	if s.cfg.Selector == SelectSingle {
-		if err := s.runSingleIteration(ctx, user, qs, beforeAll, &rep); err != nil {
+		if err := s.runSingleIteration(ctx, user, qs, &rep); err != nil {
 			return rep, err
 		}
 	} else {
-		if err := s.runCompositeIteration(ctx, user, qs, beforeAll, &rep); err != nil {
+		if err := s.runCompositeIteration(ctx, user, qs, &rep); err != nil {
 			return rep, err
 		}
 	}
@@ -578,36 +577,30 @@ func (s *Session) edgeShowsValues(e *erg.Edge, c int, v1, v2 string) bool {
 	return (ta == v1 && tb == v2) || (ta == v2 && tb == v1)
 }
 
-// newEstimator builds one iteration's benefit estimator over the
-// per-view base charts (registration order), so every hypothesis prices
-// as the sum of its per-view distances. The delta pricer prices what it
-// can; the full rebuild prices the rest, and everything when the
-// pricer cannot be built for the queries. Callers must freezeShared
-// first.
-func (s *Session) newEstimator(bases []*vis.Data, workers int) *benefit.Estimator {
-	est := &benefit.Estimator{
-		Dist:         s.cfg.Dist,
-		Bases:        bases,
-		Hypothetical: s.hypotheticalVis,
-		Workers:      workers,
+// newEstimator builds one iteration's benefit estimator over the delta
+// pricer, so every hypothesis prices as the sum of its per-view
+// distances from the committed charts. Callers must freezeShared first.
+func (s *Session) newEstimator(workers int) (*benefit.Estimator, error) {
+	p, err := s.newDeltaPricer()
+	if err != nil {
+		return nil, err
 	}
-	if p := s.newDeltaPricer(); p != nil {
-		est.Pricer = p.price
-	}
-	return est
+	return &benefit.Estimator{Price: p.price, Workers: workers}, nil
 }
 
 // annotateERG prices the ERG with the estimation-based benefit model
 // (framework step 4a): the session's standardizers are frozen so
-// concurrent hypothetical-visualization builds never write shared state,
-// then the per-edge/per-repair pricing fans out across workers. Returns
-// the estimator's work accounting (unique evaluations, memo hits,
-// incremental accepts vs. fallbacks).
-func (s *Session) annotateERG(g *erg.Graph, bases []*vis.Data, workers int) benefit.Stats {
+// concurrent pricing never writes shared state, then the
+// per-edge/per-repair pricing fans out across workers. Returns the
+// estimator's work accounting (unique evaluations, memo hits).
+func (s *Session) annotateERG(g *erg.Graph, workers int) (benefit.Stats, error) {
 	s.freezeShared()
-	est := s.newEstimator(bases, workers)
+	est, err := s.newEstimator(workers)
+	if err != nil {
+		return benefit.Stats{}, err
+	}
 	est.Annotate(g)
-	return est.Stats()
+	return est.Stats(), nil
 }
 
 // BuildAnnotatedERG runs detection, ERG construction and benefit
@@ -618,19 +611,16 @@ func (s *Session) annotateERG(g *erg.Graph, bases []*vis.Data, workers int) bene
 // and diagnostics that need to measure or inspect the benefit model in
 // isolation.
 func (s *Session) BuildAnnotatedERG(workers int) (*erg.Graph, int, error) {
-	before, err := s.CurrentVisAll()
+	g := s.buildERG(s.detectQuestions())
+	st, err := s.annotateERG(g, workers)
 	if err != nil {
 		return nil, 0, err
 	}
-	qs := s.detectQuestions()
-	g := s.buildERG(qs)
-	st := s.annotateERG(g, before, workers)
 	return g, st.Evals, nil
 }
 
-// runCompositeIteration performs steps 3–5 with a CQG. before holds
-// each view's current chart in registration order.
-func (s *Session) runCompositeIteration(ctx context.Context, user User, qs questionSet, before []*vis.Data, rep *Report) error {
+// runCompositeIteration performs steps 3–5 with a CQG.
+func (s *Session) runCompositeIteration(ctx context.Context, user User, qs questionSet, rep *Report) error {
 	start := time.Now()
 	g := s.buildERG(qs)
 	rep.Timings.BuildERG = time.Since(start)
@@ -643,7 +633,11 @@ func (s *Session) runCompositeIteration(ctx context.Context, user User, qs quest
 	// Step 4a: benefit model — parallel across cfg.Workers, bit-identical
 	// at every worker count (see DESIGN.md "Concurrency and determinism").
 	start = time.Now()
-	rep.noteBenefit(s.annotateERG(g, before, s.cfg.Workers))
+	st, err := s.annotateERG(g, s.cfg.Workers)
+	if err != nil {
+		return err
+	}
+	rep.noteBenefit(st)
 	rep.Timings.Benefit = time.Since(start)
 
 	// Step 4b: CQG selection.
@@ -675,7 +669,7 @@ func (s *Session) runCompositeIteration(ctx context.Context, user User, qs quest
 
 	// Step 5: user answers the CQG; answers are applied immediately.
 	start = time.Now()
-	err := s.askCQG(ctx, user, cqg, rep)
+	err = s.askCQG(ctx, user, cqg, rep)
 	rep.Timings.Apply = time.Since(start)
 	return err
 }

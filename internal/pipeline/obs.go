@@ -35,10 +35,6 @@ var (
 		"Unique hypothetical visualizations derived by the benefit model (memo misses).")
 	obsMemoHits = obs.Default.Counter("visclean_benefit_memo_hits_total",
 		"Benefit prices served from the per-iteration memo instead of re-derived.")
-	obsDeltaAccepts = obs.Default.Counter("visclean_benefit_delta_accepts_total",
-		"Hypotheses priced by the incremental delta pricer.")
-	obsDeltaFallbacks = obs.Default.Counter("visclean_benefit_delta_fallbacks_total",
-		"Hypotheses the delta pricer declined, priced by full view rebuild.")
 	obsDetectAccepts = obs.Default.Counter("visclean_detect_delta_accepts_total",
 		"Detect-phase kNN suggestions served from the maintained neighbour cache.")
 	obsDetectFallbacks = obs.Default.Counter("visclean_detect_delta_fallbacks_total",
@@ -120,8 +116,6 @@ func (p *openPhases) done(phase string) {
 func (r *Report) noteBenefit(st benefit.Stats) {
 	r.BenefitEvals = st.Evals
 	r.MemoHits = st.MemoHits
-	r.DeltaAccepts = st.PricerAccepts
-	r.DeltaFallbacks = st.PricerFallbacks
 }
 
 // observeIteration publishes one finished iteration's report to the
@@ -139,8 +133,6 @@ func (s *Session) observeIteration(rep *Report, start time.Time) {
 		obsUnanswered.Add(int64(rep.Unanswered))
 		obsBenefitEvals.Add(int64(rep.BenefitEvals))
 		obsMemoHits.Add(int64(rep.MemoHits))
-		obsDeltaAccepts.Add(int64(rep.DeltaAccepts))
-		obsDeltaFallbacks.Add(int64(rep.DeltaFallbacks))
 		obsDetectAccepts.Add(int64(rep.DetectAccepts))
 		obsDetectFallbacks.Add(int64(rep.DetectFallbacks))
 		for _, d := range rep.ViewDistMoved {

@@ -404,7 +404,7 @@ func (s *Session) refreshModel() {
 		s.mergeList = nil // no auto-merging before the first user label
 	}
 	s.rebuildStandardizers()
-	s.clusters = s.buildClusters(nil, nil)
+	s.clusters = s.buildClusters()
 	s.maintainKnnIndex()
 }
 
@@ -549,20 +549,12 @@ func (s *Session) approveViolatesReject(st *goldenrec.Standardizer, ap aKey) boo
 }
 
 // buildClusters builds the entity partition under the accumulated user
-// constraints plus optional extra hypothetical ones.
-func (s *Session) buildClusters(extraConfirm, extraSplit []em.Pair) *em.Clusters {
-	conf := s.confirmed
-	spl := s.split
-	if len(extraConfirm) > 0 {
-		conf = append(append([]em.Pair(nil), conf...), extraConfirm...)
-	}
-	if len(extraSplit) > 0 {
-		spl = append(append([]em.Pair(nil), spl...), extraSplit...)
-	}
+// constraints.
+func (s *Session) buildClusters() *em.Clusters {
 	return em.BuildClustersSorted(s.table, s.mergeList, em.ClusterConfig{
 		Threshold: s.cfg.ClusterThreshold,
-		Confirmed: conf,
-		Split:     spl,
+		Confirmed: s.confirmed,
+		Split:     s.split,
 	})
 }
 
@@ -723,13 +715,6 @@ type Report struct {
 	// MemoHits counts benefit prices served from the estimator's memo
 	// instead of being re-derived (total requests − BenefitEvals).
 	MemoHits int
-	// DeltaAccepts / DeltaFallbacks split BenefitEvals by pricing path:
-	// hypotheses the incremental delta pricer accepted vs. ones it
-	// declined (posting/lookup miss), which fell back to the full
-	// view-rebuild. Both are zero when the pricer is unavailable for
-	// the queries.
-	DeltaAccepts   int
-	DeltaFallbacks int
 	// DetectAccepts / DetectFallbacks split the detect phase's kNN
 	// suggestion lookups by path: served from the incrementally
 	// maintained neighbour cache vs. recomputed from the live index

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"visclean/internal/erg"
-	"visclean/internal/vis"
 )
 
 // runSingleIteration implements the paper's Single baseline (§VII): in
@@ -15,7 +14,7 @@ import (
 // beneficial first. m is the number of questions a k-vertex CQG would
 // carry (k−1 edges plus one vertex repair ≈ k), keeping the unit cost
 // comparable per the paper's fairness argument.
-func (s *Session) runSingleIteration(ctx context.Context, user User, qs questionSet, before []*vis.Data, rep *Report) error {
+func (s *Session) runSingleIteration(ctx context.Context, user User, qs questionSet, rep *Report) error {
 	m := s.cfg.K
 	if m < 4 {
 		m = 4
@@ -23,7 +22,10 @@ func (s *Session) runSingleIteration(ctx context.Context, user User, qs question
 	perKind := m / 4
 
 	s.freezeShared()
-	est := s.newEstimator(before, 1)
+	est, err := s.newEstimator(1)
+	if err != nil {
+		return err
+	}
 
 	// Each single question is a one-question edge or repair, asked
 	// through the same askEdge/askRepair as a CQG's.

@@ -5,11 +5,9 @@ import (
 	"slices"
 	"sort"
 
-	"visclean/internal/benefit"
 	"visclean/internal/dataset"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
-	"visclean/internal/vis"
 )
 
 // buildView derives the cleaned relation the visualization runs over:
@@ -169,78 +167,8 @@ func (s *Session) CleanedView() *dataset.Table {
 	return s.buildView(s.clusters, s.std, nil)
 }
 
-// hypotheticalVis derives every view's chart, in registration order,
-// under one hypothetical user answer, sharing a single cleaned-relation
-// build across the views and leaving all session state untouched. A nil
-// return means the hypothesis is inapplicable (e.g. a vanished tuple); a
-// nil element means that one view's query failed over the hypothetical
-// relation (its term prices as zero — hypotheses must never abort an
-// iteration).
-//
-// This is the callback the parallel benefit engine fans out, so it must
-// be safe for concurrent calls: it only reads session state (the
-// working table, the merge list, the frozen standardizers and clusters —
-// see freezeShared) and builds private clusters / standardizer
-// clones / view tables per call. Hypothetical repairs substitute cell
-// values through overrides instead of writing to the shared table.
-func (s *Session) hypotheticalVis(h benefit.Hypothesis) []*vis.Data {
-	cl, std, ov, ok := s.hypotheticalState(h)
-	if !ok {
-		return nil
-	}
-	view := s.buildView(cl, std, ov)
-	out := make([]*vis.Data, len(s.queries))
-	for v, q := range s.queries {
-		if d, err := q.Execute(view); err == nil {
-			out[v] = d
-		}
-	}
-	return out
-}
-
-// hypotheticalState derives the cleaned-relation inputs — clusters,
-// standardizers, cell overlay — that one hypothetical answer implies.
-// ok=false means the hypothesis is inapplicable (e.g. a vanished
-// tuple).
-func (s *Session) hypotheticalState(h benefit.Hypothesis) (cl *em.Clusters, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay, ok bool) {
-	switch h.Kind {
-	case benefit.TConfirm:
-		cl = s.buildClusters([]em.Pair{h.Pair}, nil)
-		// Confirming tuples also equates their A-column values (§VI
-		// label-edge semantics), so standardize them hypothetically.
-		std = s.std
-		if override := s.tPairStandardizers(h.Pair); override != nil {
-			std = override
-		}
-		return cl, std, nil, true
-	case benefit.TSplit:
-		return s.buildClusters(nil, []em.Pair{h.Pair}), s.std, nil, true
-	case benefit.AApprove:
-		st := s.std[h.Column]
-		if st == nil {
-			return nil, nil, nil, false
-		}
-		override := cloneStdMap(s.std)
-		clone := st.Clone()
-		clone.Approve(h.V1, h.V2)
-		override[h.Column] = clone
-		return s.clusters, override, nil, true
-	case benefit.MImpute, benefit.ORepair:
-		// Overlay.Set enforces both the id's existence and the numeric
-		// kind of the measure column — the checks the old
-		// write-then-restore path got for free from Table.Set.
-		ov = s.table.Overlay()
-		if ov.Set(h.ID, s.yCol, dataset.Num(h.Value)) != nil {
-			return nil, nil, nil, false
-		}
-		return s.clusters, s.std, ov, true
-	default:
-		return nil, nil, nil, false
-	}
-}
-
-// freezeShared precomputes every lazy structure the hypothetical-vis
-// fan-out reads concurrently — the standardizers' path compression and
+// freezeShared precomputes every lazy structure the pricing fan-out
+// reads concurrently — the standardizers' path compression and
 // canonical-value caches, and the entity clusters' union-find — so that
 // during annotation they are touched without a single write. Called
 // before each benefit annotation; Approve/merge re-dirty them, but
@@ -281,12 +209,6 @@ func (s *Session) tPairChanges(p em.Pair) []stdChange {
 		out = append(out, stdChange{col: c, name: schema[c].Name, v1: ta, v2: tb})
 	}
 	return out
-}
-
-// tPairStandardizers returns a standardizer override where the pair's
-// values in every A-column are equated, or nil when nothing changes.
-func (s *Session) tPairStandardizers(p em.Pair) map[string]*goldenrec.Standardizer {
-	return s.stdOverride(s.tPairChanges(p))
 }
 
 // stdOverride clones the standardizer map and applies each change as a

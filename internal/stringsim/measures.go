@@ -193,8 +193,14 @@ func jaroRunes(ra, rb []rune) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchedA := make([]bool, len(ra))
-	matchedB := make([]bool, len(rb))
+	// One flag slice serves both strings, matchedA then matchedB; it
+	// lives on the stack unless the strings are long.
+	var stack [256]bool
+	flags := stack[:]
+	if n := len(ra) + len(rb); n > len(stack) {
+		flags = make([]bool, n)
+	}
+	matchedA, matchedB := flags[:len(ra)], flags[len(ra):len(ra)+len(rb)]
 	matches := 0
 	for i := range ra {
 		lo := i - window

@@ -85,7 +85,7 @@ type Predicate struct {
 func (p Predicate) String() string {
 	lit := "'" + strings.ReplaceAll(p.StrValue, "'", "''") + "'"
 	if p.IsNum {
-		lit = strconv.FormatFloat(p.NumValue, 'g', -1, 64)
+		lit = formatNumber(p.NumValue)
 	}
 	return fmt.Sprintf("%s %s %s", p.Column, p.Op, lit)
 }
@@ -129,8 +129,7 @@ func (q *Query) String() string {
 	case TransformGroup:
 		fmt.Fprintf(&b, " TRANSFORM GROUP BY %s", q.X)
 	case TransformBin:
-		fmt.Fprintf(&b, " TRANSFORM BIN %s BY INTERVAL %s", q.X,
-			strconv.FormatFloat(q.BinInterval, 'g', -1, 64))
+		fmt.Fprintf(&b, " TRANSFORM BIN %s BY INTERVAL %s", q.X, formatNumber(q.BinInterval))
 	}
 	if len(q.Where) > 0 {
 		b.WriteString(" WHERE ")
@@ -156,4 +155,11 @@ func (q *Query) String() string {
 		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
 	}
 	return b.String()
+}
+
+// formatNumber renders a literal as the lexer reads numbers: plain
+// decimal digits, never an exponent, in the fewest digits that parse
+// back to the same float.
+func formatNumber(f float64) string {
+	return strconv.FormatFloat(f, 'f', -1, 64)
 }

@@ -254,8 +254,8 @@ func (q *Query) sortPoints(d *vis.Data) {
 // comparePoints is the chart order of the SORT clause, shared by Execute
 // and the incremental executor's merge: the sort axis in the query's
 // direction, ties broken by ascending label whatever the direction. It
-// returns 0 for every pair under SORT none. A NaN Y compares equal to
-// everything, so with NaN marks this is not a strict weak order.
+// returns 0 for every pair under SORT none. It is a strict weak order
+// even over NaN marks, which cmpFloat places last.
 func (q *Query) comparePoints(pa, pb vis.Point) int {
 	if q.Sort == AxisNone {
 		return 0
@@ -263,31 +263,46 @@ func (q *Query) comparePoints(pa, pb vis.Point) int {
 	var c int
 	switch {
 	case q.Sort == AxisY:
-		c = cmpFloat(pa.Y, pb.Y)
+		c = cmpFloat(pa.Y, pb.Y, q.SortDesc)
 	case pa.HasX && pb.HasX:
-		c = cmpFloat(pa.X, pb.X)
+		c = cmpFloat(pa.X, pb.X, q.SortDesc)
 	default:
 		c = strings.Compare(pa.Label, pb.Label)
+		if q.SortDesc {
+			c = -c
+		}
 	}
 	if c == 0 {
 		return strings.Compare(pa.Label, pb.Label)
 	}
-	if q.SortDesc {
-		return -c
-	}
 	return c
 }
 
-// cmpFloat orders two floats with -0 equal to +0 and NaN equal to
-// everything, as the < and > operators do.
-func cmpFloat(a, b float64) int {
+// cmpFloat orders two floats ascending, or descending when desc is set,
+// with -0 equal to +0 as the < and > operators have it. NaN ties with
+// NaN and sorts after every number in either direction (+Inf and -Inf
+// in one SUM or AVG make a NaN mark).
+func cmpFloat(a, b float64, desc bool) int {
+	if aNaN, bNaN := math.IsNaN(a), math.IsNaN(b); aNaN || bNaN {
+		switch {
+		case aNaN == bNaN:
+			return 0
+		case aNaN:
+			return 1
+		}
+		return -1
+	}
+	c := 0
 	switch {
 	case a < b:
-		return -1
+		c = -1
 	case a > b:
-		return 1
+		c = 1
 	}
-	return 0
+	if desc {
+		return -c
+	}
+	return c
 }
 
 // ReplaceDatasetName returns a copy of the query with FROM rewritten;

@@ -107,9 +107,7 @@ type Incremental struct {
 
 // NewIncremental validates the query against the schema and registers
 // the base rows, which must arrive in strictly ascending Rank order (the
-// order Execute would scan them in). It fails when a base mark is NaN
-// (+Inf and -Inf summed): the chart order is then not a strict weak
-// order, and no merge can reproduce Execute's stable sort.
+// order Execute would scan them in).
 func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Incremental, error) {
 	if err := q.Validate(schema); err != nil {
 		return nil, err
@@ -169,13 +167,9 @@ func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Increment
 	}
 	for _, st := range order {
 		inc.fold(&st.mark, st.contribs, nil, nil)
-		if !st.ok {
-			continue
+		if st.ok {
+			inc.sorted = append(inc.sorted, st)
 		}
-		if math.IsNaN(st.y) {
-			return nil, fmt.Errorf("vql: group %q aggregates to NaN, which has no place in the chart order", st.label)
-		}
-		inc.sorted = append(inc.sorted, st)
 	}
 	// Execute's second stable sort, over appearance-ordered input.
 	slices.SortStableFunc(inc.sorted, func(a, b *keyState) int {
@@ -184,7 +178,7 @@ func (q *Query) NewIncremental(schema dataset.Schema, rows []IncRow) (*Increment
 	for i, st := range inc.sorted {
 		st.pos = i
 	}
-	inc.basePts, _ = inc.evalKeyed(nil, nil)
+	inc.basePts = inc.evalKeyed(nil, nil)
 	return inc, nil
 }
 
@@ -208,7 +202,7 @@ func (inc *Incremental) point(m *mark) vis.Point {
 
 // compareMarks orders two marks as the final chart does: the query's
 // comparator, then appearance order. Appearance keys are unique per
-// group, so the order is total.
+// group, so the order is total, NaN marks included.
 func (inc *Incremental) compareMarks(a, b *mark) int {
 	if c := inc.q.comparePoints(inc.point(a), inc.point(b)); c != 0 {
 		return c
@@ -301,10 +295,8 @@ func (inc *Incremental) contribution(r IncRow) contrib {
 // positions. added must be in ascending rank order; an added rank may
 // reuse a removed one (a merged cluster inherits the smaller first id).
 // The result is bit-identical to Execute over the equivalent view.
-// ok is false when a re-folded group's mark is NaN: the caller must
-// then execute the view in full.
-func (inc *Incremental) Eval(removed []int64, added []IncRow) (data *vis.Data, ok bool) {
-	data = &vis.Data{Type: inc.q.Chart, XField: inc.q.X, YField: inc.q.Y}
+func (inc *Incremental) Eval(removed []int64, added []IncRow) *vis.Data {
+	data := &vis.Data{Type: inc.q.Chart, XField: inc.q.X, YField: inc.q.Y}
 
 	// Empty delta: the answer is the precomputed base chart, copied so
 	// callers may mutate it.
@@ -312,25 +304,22 @@ func (inc *Incremental) Eval(removed []int64, added []IncRow) (data *vis.Data, o
 		if len(inc.basePts) > 0 {
 			data.Points = append([]vis.Point(nil), inc.basePts...)
 		}
-		return data, true
+		return data
 	}
 
 	if inc.q.Transform == TransformNone {
 		data.Points = inc.evalNone(removed, added)
 		inc.q.sortPoints(data)
 		data.Points = limitPoints(data.Points, inc.q.Limit)
-		return data, true
+		return data
 	}
-	if data.Points, ok = inc.evalKeyed(removed, added); !ok {
-		return nil, false
-	}
-	return data, true
+	data.Points = inc.evalKeyed(removed, added)
+	return data
 }
 
 // Base returns the chart of the unmodified base row set.
 func (inc *Incremental) Base() *vis.Data {
-	data, _ := inc.Eval(nil, nil)
-	return data
+	return inc.Eval(nil, nil)
 }
 
 func limitPoints(pts []vis.Point, limit int) []vis.Point {
@@ -352,8 +341,7 @@ func removedSet(removed []int64) map[int64]struct{} {
 }
 
 // evalNone assembles the direct-mark point list: surviving base points
-// and added points merged in rank order. A direct mark is never NaN:
-// dataset.Num stores NaN as null, and null rows draw no mark.
+// and added points merged in rank order.
 func (inc *Incremental) evalNone(removed []int64, added []IncRow) []vis.Point {
 	rm := removedSet(removed)
 	var pts []vis.Point
@@ -383,8 +371,7 @@ func (inc *Incremental) evalNone(removed []int64, added []IncRow) []vis.Point {
 // evalKeyed assembles the grouped/binned chart: it re-folds the groups
 // the delta touches, sorts those, and merges them into the presorted
 // base marks, skipping the dirty ones, until LIMIT points are out.
-// ok is false when a re-folded mark is NaN.
-func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) ([]vis.Point, bool) {
+func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) []vis.Point {
 	var rm []int64
 	if len(removed) > 0 {
 		rm = slices.Clone(removed)
@@ -444,13 +431,9 @@ func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) ([]vis.Point,
 			}
 		}
 		inc.fold(&t.mark, base, t.adds, rm)
-		if !t.ok {
-			continue
+		if t.ok {
+			fresh = append(fresh, t)
 		}
-		if math.IsNaN(t.y) {
-			return nil, false
-		}
-		fresh = append(fresh, t)
 	}
 	slices.Sort(skip)
 	slices.SortFunc(fresh, func(a, b refold) int { return inc.compareMarks(&a.mark, &b.mark) })
@@ -460,7 +443,7 @@ func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) ([]vis.Point,
 		n = inc.q.Limit
 	}
 	if n == 0 {
-		return nil, true
+		return nil
 	}
 	pts := make([]vis.Point, 0, n)
 	i, j, k := 0, 0, 0 // base position, fresh index, skip index
@@ -477,7 +460,7 @@ func (inc *Incremental) evalKeyed(removed []int64, added []IncRow) ([]vis.Point,
 			i++
 		}
 	}
-	return pts, true
+	return pts
 }
 
 // stateOf returns the base state a routed contribution belongs to, or

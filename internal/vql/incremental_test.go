@@ -2,6 +2,9 @@ package vql
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"visclean/internal/dataset"
@@ -72,10 +75,7 @@ func checkDelta(t *testing.T, q *Query, base []IncRow, removed []int64, added []
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := inc.Eval(removed, added)
-	if !ok {
-		t.Fatalf("removed=%v added=%d: Eval declined a delta without NaN marks", removed, len(added))
-	}
+	got := inc.Eval(removed, added)
 	want, err := q.Execute(applyDelta(t, base, removed, added))
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestIncrementalBaseFastPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := inc.Base()
-		slow, _ := inc.Eval([]int64{-999}, nil) // unknown rank: no-op delta, general path
+		slow := inc.Eval([]int64{-999}, nil) // unknown rank: no-op delta, general path
 		assertSameData(t, src, fast, slow)
 
 		// The fast path must hand out an independent copy: mutating one
@@ -193,7 +193,7 @@ func TestIncrementalBaseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if data, _ := inc.Eval(nil, nil); data == nil {
+		if data := inc.Eval(nil, nil); data == nil {
 			t.Fatal("nil chart")
 		}
 	})
@@ -259,5 +259,79 @@ func TestIncrementalRejectsUnsortedRanks(t *testing.T) {
 	}
 	if _, err := q.NewIncremental(incSchema, rows); err == nil {
 		t.Fatal("duplicate ranks accepted")
+	}
+}
+
+// TestNaNMarksSortLast pins where the chart order puts NaN marks (+Inf
+// and -Inf in one SUM): after every number, ±Inf included, in both SORT
+// directions, tied with each other and so ordered by label, and first
+// to go at a LIMIT cut. The NaN groups appear first and their labels
+// sort before every other label, so an order that let NaN compare equal
+// to everything would leave them in front. Execute and the incremental
+// base chart must both place them there, and so must an Eval whose
+// delta turns the -Inf group e into a third NaN mark.
+func TestNaNMarksSortLast(t *testing.T) {
+	num := dataset.Num
+	inf := math.Inf(1)
+	rows := []IncRow{
+		incRow(0, "B", num(1), num(inf)),
+		incRow(1, "A", num(1), num(-inf)),
+		incRow(2, "c", num(1), num(3)),
+		incRow(3, "B", num(1), num(-inf)),
+		incRow(4, "d", num(1), num(inf)),
+		incRow(5, "e", num(1), num(-inf)),
+		incRow(6, "A", num(1), num(inf)),
+		incRow(7, "f", num(1), num(1)),
+	}
+	added := []IncRow{incRow(8, "e", num(1), num(inf))}
+	for _, tc := range []struct {
+		order       string
+		limit       int
+		base, delta []string
+	}{
+		{"ASC", 0, []string{"e", "f", "c", "d", "A", "B"}, []string{"f", "c", "d", "A", "B", "e"}},
+		{"DESC", 0, []string{"d", "c", "f", "e", "A", "B"}, []string{"d", "c", "f", "A", "B", "e"}},
+		{"ASC", 5, []string{"e", "f", "c", "d", "A"}, []string{"f", "c", "d", "A", "B"}},
+		{"DESC", 4, []string{"d", "c", "f", "e"}, []string{"d", "c", "f", "A"}},
+	} {
+		src := fmt.Sprintf(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D TRANSFORM GROUP BY Venue SORT Y BY %s`, tc.order)
+		if tc.limit > 0 {
+			src += fmt.Sprintf(" LIMIT %d", tc.limit)
+		}
+		q := MustParse(src)
+		exec, err := q.Execute(applyDelta(t, rows, nil, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		execDelta, err := q.Execute(applyDelta(t, rows, nil, added))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := q.NewIncremental(incSchema, rows)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, c := range []struct {
+			name string
+			data *vis.Data
+			want []string
+			nan  string // labels of the NaN marks
+		}{
+			{"Execute", exec, tc.base, "AB"},
+			{"Base", inc.Base(), tc.base, "AB"},
+			{"Execute after delta", execDelta, tc.delta, "ABe"},
+			{"Eval", inc.Eval(nil, added), tc.delta, "ABe"},
+		} {
+			var labels []string
+			for _, p := range c.data.Points {
+				labels = append(labels, p.Label)
+				if math.IsNaN(p.Y) != strings.Contains(c.nan, p.Label) {
+					t.Errorf("%s, %s: mark %s has Y %v", src, c.name, p.Label, p.Y)
+				}
+			}
+			if !slices.Equal(labels, c.want) {
+				t.Errorf("%s, %s: chart order %v, want %v", src, c.name, labels, c.want)
+			}
+		}
 	}
 }

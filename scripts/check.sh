@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: build, vet, gofmt, the full
 # test suite with the race detector on, short fuzzes of the similarity
-# kernels, the kNN index, the incremental query executor and the batch
-# feature extractor (each 10 s, in that order), the determinism +
+# kernels, the kNN index, the incremental query executor, the batch
+# feature extractor, the distance baseline and the VQL parser (each
+# 10 s, in that order), the determinism +
 # incremental equivalence suites (same seed and Workers=1 vs Workers=8
 # sessions must be byte-identical, and at every session state the delta
 # pricer and the maintained detectors must reproduce the full rebuild
@@ -80,6 +81,12 @@ go test -run '^$' -fuzz '^FuzzIncrementalEval$' -fuzztime 10s ./internal/vql
 
 echo "== fuzz: batch pair features vs the per-pair reference (10 s)"
 go test -run '^$' -fuzz '^FuzzFeaturesOf$' -fuzztime 10s ./internal/em
+
+echo "== fuzz: distance baseline vs Default (10 s)"
+go test -run '^$' -fuzz '^FuzzBaseline$' -fuzztime 10s ./internal/distance
+
+echo "== fuzz: VQL parse and print round trip (10 s)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/vql
 
 echo "== determinism + incremental equivalence suites (-race)"
 go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence' ./internal/pipeline/
