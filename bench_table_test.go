@@ -1,10 +1,8 @@
 package visclean
 
-// Benchmarks for the columnar dataset engine (PR 8): raw table
-// operations with allocation tracking, and the Clone-vs-Overlay
-// comparison that justifies the copy-on-write layer. scripts/bench.sh
-// records these (with -benchmem) into BENCH_pr8.json and
-// scripts/check.sh gates on regressions.
+// Benchmarks for the columnar dataset engine: raw table operations
+// with allocation tracking, and the Clone-vs-Overlay comparison that
+// justifies the copy-on-write layer.
 
 import (
 	"testing"
@@ -13,12 +11,11 @@ import (
 	"visclean/internal/dataset"
 )
 
-// tableOpsTable builds a mid-sized D1 dirty table (scale 0.05 ≈ 2.5k
-// rows at seed 1 — the same fixture the annotate benches use).
-func tableOpsTable(b *testing.B) *dataset.Table {
-	b.Helper()
-	d := datagen.D1(datagen.Config{Scale: 0.05, Seed: 1})
-	return d.Dirty
+// tableOpsTable builds the D1 dirty table at fixtureScale, the same
+// fixture the annotate benches use.
+func tableOpsTable(tb testing.TB) *dataset.Table {
+	tb.Helper()
+	return datagen.D1(datagen.Config{Scale: fixtureScale, Seed: 1}).Dirty
 }
 
 // BenchmarkTableOps measures the dataset substrate's hot operations.

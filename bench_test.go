@@ -10,6 +10,7 @@ package visclean
 
 import (
 	"testing"
+	"time"
 
 	"visclean/internal/artifact"
 	"visclean/internal/datagen"
@@ -21,6 +22,13 @@ import (
 
 // benchScale keeps a full -bench=. run tractable.
 const benchScale = 0.01
+
+// fixtureScale is the D1 scale (about 2.5k rows at seed 1) of the
+// annotate, iteration-phase and table-ops benchmarks.
+const fixtureScale = 0.05
+
+// fig10Query is the paper's running example, Q1.
+const fig10Query = `VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`
 
 func benchEnv() *experiments.Env { return experiments.NewEnv(benchScale, 1) }
 
@@ -45,17 +53,24 @@ func BenchmarkTableV_Queries(b *testing.B) {
 	}
 }
 
+// progress runs one Exp-1 progression (Figs 10–12) and returns the
+// task's distance to the clean chart before and after cleaning.
+func progress(tb testing.TB, task string) (dist0, distN float64) {
+	tb.Helper()
+	_, curve, err := experiments.Exp1Progress(benchEnv(), task)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return curve.InitialDist, curve.FinalDist()
+}
+
 // benchProgress drives one Exp-1 progression (Figs 10–12).
 func benchProgress(b *testing.B, task string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		env := benchEnv()
-		_, curve, err := experiments.Exp1Progress(env, task)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(curve.InitialDist, "dist0")
-		b.ReportMetric(curve.FinalDist(), "distN")
+		dist0, distN := progress(b, task)
+		b.ReportMetric(dist0, "dist0")
+		b.ReportMetric(distN, "distN")
 	}
 }
 
@@ -117,30 +132,30 @@ func BenchmarkFig15_16_UserTime(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiView runs the multi-view comparison (DESIGN.md §13): one
+// multiViewAnswers runs the multi-view comparison (DESIGN.md §13): one
 // session serving the three-view D1 dashboard versus one dedicated
-// session per view. The custom metrics are the figure itself —
-// answers-to-convergence of each arm (0 when an arm missed the budget)
-// — so BENCH_pr10.json records them next to the wall-clock cost.
+// session per view. It returns answers-to-convergence of each arm, 0
+// when an arm missed the budget.
+func multiViewAnswers(tb testing.TB) (multi, seq int) {
+	tb.Helper()
+	// Seed 11: both arms converge within the default budget at this
+	// scale, so the counts are real answer counts, not 0s.
+	_, res, err := experiments.ExpMultiView(experiments.NewEnv(benchScale, 11), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	multi, _ = res.MultiTotal()
+	seq, _ = res.SeqTotal()
+	return multi, seq
+}
+
+// BenchmarkMultiView times the multi-view comparison. The custom
+// metrics are the figure itself: answers-to-convergence of each arm.
 func BenchmarkMultiView(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		// Seed 11: both arms converge within the default budget at this
-		// scale, so the recorded metrics are real answer counts, not 0s.
-		env := experiments.NewEnv(benchScale, 11)
-		_, res, err := experiments.ExpMultiView(env, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mt, mok := res.MultiTotal()
-		st, sok := res.SeqTotal()
-		if !mok {
-			mt = 0
-		}
-		if !sok {
-			st = 0
-		}
-		b.ReportMetric(float64(mt), "multi_answers")
-		b.ReportMetric(float64(st), "seq_answers")
+		multi, seq := multiViewAnswers(b)
+		b.ReportMetric(float64(multi), "multi_answers")
+		b.ReportMetric(float64(seq), "seq_answers")
 	}
 }
 
@@ -193,24 +208,16 @@ func BenchmarkFig18_ComponentTime(b *testing.B) {
 	}
 }
 
-// annotateSession builds one D1 session at the given scale for the
-// benefit-annotation benchmark and runs iters oracle-answered
-// iterations on it.
-func annotateSession(b *testing.B, scale float64, workers, iters int) *pipeline.Session {
-	b.Helper()
-	d := datagen.D1(datagen.Config{Scale: scale, Seed: 1})
-	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
-	s, err := pipeline.NewSession(d.Dirty, q, d.KeyColumns, pipeline.Config{Seed: 1, Workers: workers})
+// fig10Session builds one session over D1 at fixtureScale under the
+// Fig 10 query, and the oracle that answers its questions.
+func fig10Session(tb testing.TB, workers int) (*pipeline.Session, *oracle.Oracle) {
+	tb.Helper()
+	d := datagen.D1(datagen.Config{Scale: fixtureScale, Seed: 1})
+	s, err := pipeline.NewSession(d.Dirty, vql.MustParse(fig10Query), d.KeyColumns, pipeline.Config{Seed: 1, Workers: workers})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	user := oracle.New(d.Truth, 1)
-	for i := 0; i < iters; i++ {
-		if _, err := s.RunIteration(user); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return s
+	return s, oracle.New(d.Truth, 1)
 }
 
 // BenchmarkAnnotate isolates the benefit-model hot path — pricing every
@@ -220,7 +227,6 @@ func annotateSession(b *testing.B, scale float64, workers, iters int) *pipeline.
 // edge benefits), so the only difference is wall-clock. evals/op
 // reports unique hypotheses priced (memo cache misses).
 func BenchmarkAnnotate(b *testing.B) {
-	const scale = 0.05
 	var baseline []float64 // Workers=1 edge benefits, for cross-check
 	for _, v := range []struct {
 		name    string
@@ -231,7 +237,7 @@ func BenchmarkAnnotate(b *testing.B) {
 	} {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			s := annotateSession(b, scale, v.workers, 0)
+			s, _ := fig10Session(b, v.workers)
 			workers := v.workers
 			var evals int
 			b.ResetTimer()
@@ -268,7 +274,12 @@ func BenchmarkAnnotate(b *testing.B) {
 	// of two tuples and no approved synonym class, so only this variant
 	// prices in-cluster cannot-links and approvals over existing classes.
 	b.Run("MidSession", func(b *testing.B) {
-		s := annotateSession(b, scale, 1, 2)
+		s, user := fig10Session(b, 1)
+		for it := 0; it < 2; it++ {
+			if _, err := s.RunIteration(user); err != nil {
+				b.Fatal(err)
+			}
+		}
 		var evals int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -282,52 +293,56 @@ func BenchmarkAnnotate(b *testing.B) {
 	})
 }
 
-// BenchmarkIterationPhases runs a short cleaning session (four
-// iterations — the amortization horizon that matters, since detection
-// structures built in iteration 1 pay off in 2..n) and reports the
-// summed per-phase breakdown (Report.Timings) as custom metrics;
-// scripts/check.sh gates on the Incremental sub-benchmark's detect_µs
-// against the recorded baseline.
+// phases is the per-phase breakdown (Report.Timings) and the detect
+// accounting of the phase benchmark's session, summed over its
+// iterations.
+type phases struct {
+	detect, buildERG, annotate, sel time.Duration
+	accepts, fallbacks              int
+}
+
+// runPhases runs four oracle-answered iterations on s — the
+// amortization horizon that matters, since detection structures built
+// in iteration 1 pay off in 2..n — and sums their Reports.
+func runPhases(tb testing.TB, s *pipeline.Session, user pipeline.User) phases {
+	tb.Helper()
+	var p phases
+	for it := 0; it < 4; it++ {
+		rep, err := s.RunIteration(user)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.Exhausted {
+			tb.Fatal("session exhausted inside the phase benchmark")
+		}
+		p.detect += rep.Timings.Detect
+		p.buildERG += rep.Timings.BuildERG
+		p.annotate += rep.Timings.Benefit
+		p.sel += rep.Timings.Select
+		p.accepts += rep.DetectAccepts
+		p.fallbacks += rep.DetectFallbacks
+	}
+	return p
+}
+
+// BenchmarkIterationPhases runs a short cleaning session over the
+// maintained detection structures and reports the summed per-phase
+// breakdown as custom metrics.
 func BenchmarkIterationPhases(b *testing.B) {
-	const scale = 0.05
-	const iters = 4
-	d := datagen.D1(datagen.Config{Scale: scale, Seed: 1})
-	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
 	b.Run("Incremental", func(b *testing.B) {
-		var detect, buildERG, annotate, sel, accepts, fallbacks float64
+		var p phases
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s, err := pipeline.NewSession(d.Dirty.Clone(), q, d.KeyColumns, pipeline.Config{Seed: 1, Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			user := oracle.New(d.Truth, 1)
-			detect, buildERG, annotate, sel, accepts, fallbacks = 0, 0, 0, 0, 0, 0
+			s, user := fig10Session(b, 1)
 			b.StartTimer()
-			for it := 0; it < iters; it++ {
-				rep, err := s.RunIteration(user)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				detect += float64(rep.Timings.Detect.Microseconds())
-				buildERG += float64(rep.Timings.BuildERG.Microseconds())
-				annotate += float64(rep.Timings.Benefit.Microseconds())
-				sel += float64(rep.Timings.Select.Microseconds())
-				accepts += float64(rep.DetectAccepts)
-				fallbacks += float64(rep.DetectFallbacks)
-				if rep.Exhausted {
-					b.Fatal("session exhausted inside the phase benchmark")
-				}
-				b.StartTimer()
-			}
+			p = runPhases(b, s, user)
 		}
-		b.ReportMetric(detect, "detect_µs")
-		b.ReportMetric(buildERG, "buildERG_µs")
-		b.ReportMetric(annotate, "annotate_µs")
-		b.ReportMetric(sel, "select_µs")
-		b.ReportMetric(accepts, "accepts/op")
-		b.ReportMetric(fallbacks, "fallbacks/op")
+		b.ReportMetric(float64(p.detect.Microseconds()), "detect_µs")
+		b.ReportMetric(float64(p.buildERG.Microseconds()), "buildERG_µs")
+		b.ReportMetric(float64(p.annotate.Microseconds()), "annotate_µs")
+		b.ReportMetric(float64(p.sel.Microseconds()), "select_µs")
+		b.ReportMetric(float64(p.accepts), "accepts/op")
+		b.ReportMetric(float64(p.fallbacks), "fallbacks/op")
 	})
 }
 
@@ -338,11 +353,10 @@ func BenchmarkIterationPhases(b *testing.B) {
 // Cold builds every artifact into a fresh cache (first session on a
 // server); Warm serves every artifact from a pre-populated cache (every
 // later session over the same dataset in a multi-tenant server). The
-// Cold/Warm ns/op ratio is the setup speedup the cache buys;
-// scripts/check.sh gates the Warm variant against BENCH_pr9.json.
+// Cold/Warm ns/op ratio is the setup speedup the cache buys.
 func BenchmarkSessionSetup(b *testing.B) {
 	d := datagen.D1(datagen.Config{Scale: benchScale, Seed: 1})
-	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
+	q := vql.MustParse(fig10Query)
 	setup := func(b *testing.B, cache *artifact.Cache) {
 		s, err := pipeline.NewSession(d.Dirty, q, d.KeyColumns, pipeline.Config{
 			Seed: 1, Workers: 1, Artifacts: cache,

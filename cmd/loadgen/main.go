@@ -1,6 +1,6 @@
 // Command loadgen storms a VisClean cluster with concurrent
-// oracle-backed cleaning sessions and reports the latency and
-// placement profile as BENCH_load.json (see internal/loadgen).
+// oracle-backed cleaning sessions and writes the latency and placement
+// profile as a JSON report (see internal/loadgen).
 //
 // Two modes:
 //
@@ -10,8 +10,7 @@
 // Self mode binds every shard and the router to ephemeral 127.0.0.1
 // ports, points all shards at one shared snapshot directory (the
 // cluster durability substrate, DESIGN.md §9), runs the storm, and
-// tears everything down — one process, no orchestration, which is how
-// scripts/bench.sh produces BENCH_load.json.
+// tears everything down — one process, no orchestration.
 //
 // In external mode, pass -shards with the shard base URLs to get the
 // sessions-per-shard column; without it the report omits placement.
@@ -48,7 +47,7 @@ func main() {
 	k := flag.Int("k", 10, "CQG size")
 	selector := flag.String("selector", "gss", "CQG selection algorithm")
 	workers := flag.Int("workers", 0, "iteration workers per in-process shard (default: NumCPU)")
-	out := flag.String("out", "BENCH_load.json", "report output path")
+	out := flag.String("out", "loadgen.json", "report output path")
 	verbose := flag.Bool("v", false, "log per-session failures and progress")
 	flag.Parse()
 

@@ -88,7 +88,9 @@ func inferSchema(header []string, body [][]string) Schema {
 	return schema
 }
 
-// WriteCSV encodes the table, header first. Nulls become empty fields.
+// WriteCSV encodes the table, header first. Nulls become empty fields;
+// a row that is one empty field is written as "", because a blank line
+// is no record to a CSV reader.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, len(t.schema))
@@ -102,6 +104,16 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	for i := range t.ids {
 		for c := range t.schema {
 			rec[c] = t.cols[c].get(i).String()
+		}
+		if len(rec) == 1 && rec[0] == "" {
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return fmt.Errorf("dataset: write csv row %d: %w", i, err)
+			}
+			if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+				return fmt.Errorf("dataset: write csv row %d: %w", i, err)
+			}
+			continue
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("dataset: write csv row %d: %w", i, err)

@@ -49,9 +49,6 @@ func (m *Matcher) Label(p Pair) (match, ok bool) {
 	return match, ok
 }
 
-// NumLabels reports how many labeled pairs the model holds.
-func (m *Matcher) NumLabels() int { return len(m.labels) }
-
 // LabeledPairs returns the labeled pairs in deterministic order.
 func (m *Matcher) LabeledPairs() []Pair {
 	out := make([]Pair, 0, len(m.labels))

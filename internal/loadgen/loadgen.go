@@ -4,9 +4,9 @@
 // ground-truth oracle → iterate → … It is the measurement half of the
 // cluster work (DESIGN.md §9): hundreds of concurrent oracle-backed
 // drivers produce the answer-latency distribution, per-shard session
-// placement, rejection and migration counts that BENCH_load.json
-// reports, and the chaos tests reuse the same drivers to storm a
-// cluster while shards are killed.
+// placement, rejection and migration counts that cmd/loadgen's report
+// holds, and the chaos tests reuse the same drivers to storm a cluster
+// while shards are killed.
 //
 // Drivers answer from the same ground truth the server's datasets were
 // generated from — datagen is deterministic in (dataset, scale, seed),

@@ -106,7 +106,7 @@ type ShardLoad struct {
 	Sessions int    `json:"sessions"` // -1 when unreachable
 }
 
-// Report is the BENCH_load.json document.
+// Report is the JSON document cmd/loadgen writes for one storm.
 type Report struct {
 	Sessions    int     `json:"sessions"`
 	Concurrency int     `json:"concurrency"`

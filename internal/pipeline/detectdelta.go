@@ -89,10 +89,6 @@ type detectDelta struct {
 	neigh    map[dataset.TupleID][]knn.Neighbor
 	elig     []bool
 	tokDirty map[int]struct{}
-
-	// Session-lifetime counters, mirrored into obs after each iteration.
-	accepts   int
-	fallbacks int
 }
 
 // detector returns the session's incremental detection state.
@@ -231,16 +227,13 @@ func (d *detectDelta) suggestForK(id dataset.TupleID, k int) (impute.Suggestion,
 	var ns []knn.Neighbor
 	if k != d.s.cfg.ImputeK {
 		ns = d.s.knnIdx().Nearest(row, k, d.eligAccept)
-		d.fallbacks++
 		d.s.lastDetect.fallbacks++
 	} else if cached, ok := d.neigh[id]; ok {
 		ns = cached
-		d.accepts++
 		d.s.lastDetect.accepts++
 	} else {
 		ns = d.s.knnIdx().Nearest(row, k, d.eligAccept)
 		d.neigh[id] = ns
-		d.fallbacks++
 		d.s.lastDetect.fallbacks++
 	}
 	if len(ns) == 0 {

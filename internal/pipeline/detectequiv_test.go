@@ -89,20 +89,24 @@ func referenceQuestions(s *Session) questionSet {
 func runDetectEquivalence(t *testing.T, sel SelectorKind, seed int64, workers int) {
 	t.Helper()
 	s, user := newDetSession(t, sel, seed, workers)
+	var accepts, fallbacks int
 	for iter := 0; iter < 4; iter++ {
 		label := fmt.Sprintf("%s/seed%d/w%d iter %d", sel, seed, workers, iter+1)
 		assertQuestionSetsEqual(t, label, s.detectQuestions(), referenceQuestions(s))
+		accepts += s.lastDetect.accepts
+		fallbacks += s.lastDetect.fallbacks
 		rep, err := s.RunIteration(user)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
+		accepts += rep.DetectAccepts
+		fallbacks += rep.DetectFallbacks
 		if rep.Exhausted {
 			break
 		}
 	}
-	if s.detect.accepts == 0 || s.detect.fallbacks == 0 {
-		t.Errorf("maintained neighbour cache not exercised: %d accepts, %d fallbacks",
-			s.detect.accepts, s.detect.fallbacks)
+	if accepts == 0 || fallbacks == 0 {
+		t.Errorf("maintained neighbour cache not exercised: %d accepts, %d fallbacks", accepts, fallbacks)
 	}
 }
 
@@ -132,11 +136,10 @@ func TestDetectCacheServesRepeatedSuggestions(t *testing.T) {
 	if len(qs1.M)+len(qs1.O) == 0 {
 		t.Fatal("seed 7 produced no M/O questions; the cache path is untested")
 	}
-	before := s.detect.accepts
 	qs2 := s.detectQuestions()
 	assertQuestionSetsEqual(t, "repeat detect", qs1, qs2)
-	if s.detect.accepts <= before {
-		t.Errorf("second detect hit the cache %d times, want > 0", s.detect.accepts-before)
+	if s.lastDetect.accepts == 0 {
+		t.Error("second detect hit the cache 0 times, want > 0")
 	}
 }
 

@@ -90,7 +90,8 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 // and −Inf, as a loaded CSV can, so that venue's SUM is a NaN mark: the
 // last mark of the unlimited chart, and one cut by Q1's LIMIT 10. The
 // delta pricer must still price every hypothesis, and bit for bit as
-// the full rebuild does.
+// the full rebuild does, and no edge or repair benefit may be NaN: a
+// mark that is not finite carries no mass.
 func TestNaNMeasurePricing(t *testing.T) {
 	for _, tc := range []struct{ name, src string }{
 		{"unlimited", `VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC`},
@@ -134,6 +135,24 @@ func TestNaNMeasurePricing(t *testing.T) {
 					t.Fatalf("iteration %d: %v", iter, err)
 				}
 				counts.Add(c)
+				g, _, err := s.BuildAnnotatedERG(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nan, total := 0, 0
+				for _, e := range g.Edges() {
+					if total++; math.IsNaN(e.Benefit) {
+						nan++
+					}
+				}
+				for _, r := range g.Repairs() {
+					if total++; math.IsNaN(r.Benefit) {
+						nan++
+					}
+				}
+				if nan > 0 {
+					t.Errorf("iteration %d: %d of %d edge and repair benefits are NaN", iter, nan, total)
+				}
 				if rep, err := s.RunIteration(user); err != nil {
 					t.Fatal(err)
 				} else if rep.Exhausted {

@@ -52,14 +52,6 @@ func QGrams(s string, q int) []string {
 	return grams
 }
 
-func setOf(items []string) map[string]struct{} {
-	set := make(map[string]struct{}, len(items))
-	for _, it := range items {
-		set[it] = struct{}{}
-	}
-	return set
-}
-
 func overlap(a, b map[string]struct{}) int {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -87,11 +79,6 @@ func JaccardSets(a, b map[string]struct{}) float64 {
 // Jaccard is token-set Jaccard similarity of two strings.
 func Jaccard(a, b string) float64 {
 	return JaccardSets(TokenSet(a), TokenSet(b))
-}
-
-// QGramJaccard is q-gram-set Jaccard similarity of two strings.
-func QGramJaccard(a, b string, q int) float64 {
-	return JaccardSets(setOf(QGrams(a, q)), setOf(QGrams(b, q)))
 }
 
 // Dice computes the Sørensen–Dice coefficient over token sets.

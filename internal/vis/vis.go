@@ -6,6 +6,7 @@ package vis
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -58,17 +59,23 @@ func (d *Data) YVector() []float64 {
 // NormalizedY returns the y values scaled to sum to 1, as required by the
 // EMD formulation of §II-B. Negative y values are shifted so the minimum
 // maps to zero before normalization (EMD needs non-negative mass). A
-// series that sums to zero normalizes to the uniform distribution.
+// series that sums to zero normalizes to the uniform distribution. A
+// mark whose y is not finite (a NaN or ±Inf aggregate) gets zero mass
+// and takes no part in the minimum, the shift, the sum or the uniform
+// distribution, so it cannot turn the other marks' masses into NaN.
 func (d *Data) NormalizedY() []float64 {
 	out := make([]float64, len(d.Points))
-	if len(out) == 0 {
-		return out
-	}
-	min := d.Points[0].Y
+	min, finite := math.Inf(1), 0
 	for _, p := range d.Points {
-		if p.Y < min {
-			min = p.Y
+		if isFinite(p.Y) {
+			finite++
+			if p.Y < min {
+				min = p.Y
+			}
 		}
+	}
+	if finite == 0 {
+		return out
 	}
 	shift := 0.0
 	if min < 0 {
@@ -76,12 +83,16 @@ func (d *Data) NormalizedY() []float64 {
 	}
 	sum := 0.0
 	for i, p := range d.Points {
-		out[i] = p.Y + shift
-		sum += out[i]
+		if isFinite(p.Y) {
+			out[i] = p.Y + shift
+			sum += out[i]
+		}
 	}
 	if sum <= 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
+		for i, p := range d.Points {
+			if isFinite(p.Y) {
+				out[i] = 1 / float64(finite)
+			}
 		}
 		return out
 	}
@@ -90,6 +101,8 @@ func (d *Data) NormalizedY() []float64 {
 	}
 	return out
 }
+
+func isFinite(y float64) bool { return !math.IsNaN(y) && !math.IsInf(y, 0) }
 
 // LabelMap returns y values keyed by label, for label-aligned distances.
 // Duplicate labels accumulate.

@@ -313,9 +313,3 @@ func (q *Query) ReplaceDatasetName(name string) *Query {
 	cp.Where = append([]Predicate(nil), q.Where...)
 	return &cp
 }
-
-// NormalizeKeywordCase is a helper for tests: uppercases bare keywords so
-// string comparisons of serialized queries are stable.
-func NormalizeKeywordCase(src string) string {
-	return strings.Join(strings.Fields(src), " ")
-}
