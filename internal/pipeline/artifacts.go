@@ -23,10 +23,10 @@ package pipeline
 //	           re-tokenizes only rows whose canonical text differs,
 //	           replacing those rows' sets and numbering new tokens in a
 //	           private extension of the vocabulary.
-//	basevis  — one view's pristine initial chart and its
-//	           distance.Baseline prefix sums, served while the session
-//	           has no answers. Keyed per view query, so multi-view
-//	           sessions hold one slot per panel.
+//	basevis  — one view's vql.Incremental executor registered over the
+//	           pristine cleaned relation, the committed view of every
+//	           session that has no user input yet. Keyed per view
+//	           query, so multi-view sessions hold one slot per panel.
 //
 // The determinism contract: every artifact is a pure function of the
 // fingerprinted table content plus the parameters its kind string
@@ -40,25 +40,26 @@ package pipeline
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 
 	"visclean/internal/artifact"
-	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
 	"visclean/internal/knn"
 	"visclean/internal/rf"
-	"visclean/internal/vis"
+	"visclean/internal/vql"
 )
 
 // Rough per-element heap overheads for Bytes() accounting: a string
-// header, a slice header, a forest node.
+// header, a slice header, a forest node, and what an incremental
+// executor keeps per registered row (its resolved contribution, its
+// rank-index entry and its group's contributor entry; one build of a D1
+// Q1 executor grew the heap by 230–250 B per row).
 const (
 	strHeaderBytes = 16
 	sliceHdrBytes  = 24
 	forestNodeSize = 48
+	execRowBytes   = 240
 )
 
 // Fingerprint returns the content hash keying this session's entries in
@@ -348,24 +349,21 @@ func (s *Session) knnKind() string { return fmt.Sprintf("knn:skip=%d", s.yCol) }
 
 // ---- basevis ----
 
-// basevisArtifact is the pristine initial chart and its precomputed
-// distance baseline (built against distance.Default).
+// basevisArtifact is one view's executor registered over the pristine
+// cleaned relation: every live tuple its own cluster and every cell as
+// loaded, since approval-free standardizers rewrite nothing. That
+// relation is a pure function of the table, so sessions over the same
+// content share the executor, and their pricers evaluate through it
+// concurrently.
 type basevisArtifact struct {
-	vis      *vis.Data
-	baseline *distance.Baseline
+	exec *vql.Incremental
+	rows int // rows registered
 }
 
-func (a *basevisArtifact) Bytes() int64 {
-	b := int64(sliceHdrBytes)
-	for _, p := range a.vis.Points {
-		b += int64(len(p.Label)) + strHeaderBytes + 24
-	}
-	return 3 * b // the baseline's prefix sums and label maps mirror the chart
-}
+func (a *basevisArtifact) Bytes() int64 { return int64(a.rows) * execRowBytes }
 
 // pristine reports whether the session still has no user input of any
-// kind — the state in which its current chart equals the shared
-// pristine chart.
+// kind — the state in which its committed relation is the pristine one.
 func (s *Session) pristine() bool {
 	return s.iter == 0 && len(s.committed) == 0 && len(s.current) == 0 &&
 		!s.userLabeled && len(s.confirmed) == 0 && len(s.split) == 0 &&
@@ -373,42 +371,24 @@ func (s *Session) pristine() bool {
 		len(s.answeredM) == 0 && len(s.answeredO) == 0
 }
 
-// pristineVisView returns view v's initial chart; relCharts asks for it
-// only while the session is pristine. Each view has its own cache slot,
-// keyed by the view's query string on top of the table fingerprint, so
-// concurrent sessions over the same data share per-view charts and
-// baselines independently of which other views they carry. A build
-// executes the query over rel(), the pristine cleaned relation, which
-// the caller materializes at most once for all its views.
-func (s *Session) pristineVisView(v int, rel func() *dataset.Table) (*vis.Data, error) {
-	if s.basevis[v] == nil {
-		q := s.queries[v]
-		a, err := s.acquire("basevis:q="+q.String(), func() (artifact.Artifact, error) {
-			d, err := q.Execute(rel())
-			if err != nil {
-				return nil, err
-			}
-			return &basevisArtifact{vis: d, baseline: distance.NewBaseline(distance.Default, d)}, nil
-		})
+// pristineExec returns view q's executor over the pristine relation;
+// relViews asks for it only while the session is pristine. Each view
+// has its own cache slot, keyed by the view's query string on top of
+// the table fingerprint, so concurrent sessions over the same data
+// share per-view executors independently of which other views they
+// carry. A build registers rows(), the session's own committed rows,
+// which the caller builds at most once for all its views.
+func (s *Session) pristineExec(q *vql.Query, rows func() []vql.IncRow) (*vql.Incremental, error) {
+	a, err := s.acquire("basevis:q="+q.String(), func() (artifact.Artifact, error) {
+		r := rows()
+		exec, err := q.NewIncremental(s.table.Schema(), r)
 		if err != nil {
 			return nil, err
 		}
-		s.basevis[v] = a.(*basevisArtifact)
+		return &basevisArtifact{exec: exec, rows: len(r)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return s.basevis[v].vis, nil
-}
-
-// baselineFor returns the distance baseline of one iteration's base
-// chart for view v, reusing the view's shared pristine baseline when
-// base is that view's shared pristine chart and the session distance is
-// the default the artifact was built with.
-func (s *Session) baselineFor(v int, base *vis.Data) *distance.Baseline {
-	if bv := s.basevis[v]; bv != nil && base == bv.vis && distIsDefault(s.cfg.Dist) {
-		return bv.baseline
-	}
-	return distance.NewBaseline(s.cfg.Dist, base)
-}
-
-func distIsDefault(d distance.Func) bool {
-	return reflect.ValueOf(d).Pointer() == reflect.ValueOf(distance.Func(distance.Default)).Pointer()
+	return a.(*basevisArtifact).exec, nil
 }

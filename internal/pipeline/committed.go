@@ -6,28 +6,37 @@ import (
 	"visclean/internal/dataset"
 	"visclean/internal/distance"
 	"visclean/internal/vis"
+	"visclean/internal/vql"
 )
 
 // committedRel is the session's committed cleaned relation: the entity
-// partition, each cluster's consolidated row, and every view's chart
-// and distance baseline over those rows. It is a pure function of the
-// clusters, the standardizers, the working table and the view list, so
-// the session drops it whenever one of them changes (logAnswer,
-// refreshModel, rebuildStandardizers) and rebuilds it on the next read.
-// Within an iteration that makes one build serve the after charts, the
-// service's cached state, the distance to truth, the next iteration's
-// before charts and the delta pricer's base rows.
+// partition, each cluster's consolidated row, and every view over those
+// rows. It is a pure function of the clusters, the standardizers, the
+// working table and the view list, so the session drops it whenever one
+// of them changes (logAnswer, refreshModel, rebuildStandardizers) and
+// rebuilds it on the next read. Within an iteration that makes one
+// build serve the after charts, the service's cached state, the
+// distance to truth, the next iteration's before charts and the delta
+// pricer's base rows, executors and baselines.
 //
-// Each part fills on first use. A pristine session takes its charts
+// Each part fills on first use. A pristine session takes its executors
 // from the basevis artifacts, so on a warm cache it builds rows only
-// when the pricer first needs them; baselines are built by the first
-// pricer.
+// when the pricer first needs them.
 type committedRel struct {
 	groups [][]dataset.TupleID // clusters.Groups(1)
 	rows   [][]dataset.Value   // rows[gi]: group gi's view row, nil when it yields none; nil until built
+	views  []committedView     // per view, registration order; nil until built
+}
 
-	charts []*vis.Data          // per view, registration order; nil until built
-	bases  []*distance.Baseline // aligned with charts; nil until built
+// committedView is one view over the committed rows: the incremental
+// executor registered over them, the view's chart, which is that
+// executor's base, and the chart's distance baseline under Config.Dist.
+// The delta pricer evaluates every hypothesis through exec and prices
+// it against base.
+type committedView struct {
+	exec  *vql.Incremental
+	chart *vis.Data
+	base  *distance.Baseline
 }
 
 // relation returns the committed relation, starting an empty one after
@@ -57,60 +66,47 @@ func (s *Session) relRows() *committedRel {
 	return r
 }
 
-// relTable materializes the committed rows as a table: exactly
-// buildView(s.clusters, s.std, nil), without re-resolving a cell.
-func (s *Session) relTable() *dataset.Table {
-	view := dataset.NewTable(s.table.Schema())
-	for _, row := range s.relRows().rows {
-		if row != nil {
-			view.MustAppend(row)
-		}
-	}
-	return view
-}
-
-// relCharts returns every view's committed chart. The slice is the
-// relation's own: callers that hand it out must copy it.
-func (s *Session) relCharts() ([]*vis.Data, error) {
+// relViews returns every view of the committed relation, registering
+// each view's executor over the committed rows, each ranked by its
+// cluster's smallest tuple id. A pristine session takes its executors
+// from the basevis artifacts instead. The slice is the relation's own:
+// callers that hand it out must copy it.
+func (s *Session) relViews() ([]committedView, error) {
 	r := s.relation()
-	if r.charts != nil {
-		return r.charts, nil
+	if r.views != nil {
+		return r.views, nil
 	}
-	var view *dataset.Table
-	table := func() *dataset.Table {
-		if view == nil {
-			view = s.relTable()
+	var rows []vql.IncRow
+	incRows := func() []vql.IncRow {
+		if rows == nil {
+			rel := s.relRows()
+			rows = make([]vql.IncRow, 0, len(rel.groups))
+			for gi, g := range rel.groups {
+				if rel.rows[gi] != nil {
+					rows = append(rows, vql.IncRow{Rank: int64(g[0]), Vals: rel.rows[gi]})
+				}
+			}
 		}
-		return view
+		return rows
 	}
 	pristine := s.pristine()
-	charts := make([]*vis.Data, len(s.queries))
+	views := make([]committedView, len(s.queries))
 	for v, q := range s.queries {
+		var exec *vql.Incremental
 		var err error
 		if pristine {
-			charts[v], err = s.pristineVisView(v, table)
+			exec, err = s.pristineExec(q, incRows)
 		} else {
-			charts[v], err = q.Execute(table())
+			exec, err = q.NewIncremental(s.table.Schema(), incRows())
 		}
 		if err != nil {
 			return nil, err
 		}
+		chart := exec.Base()
+		views[v] = committedView{exec: exec, chart: chart, base: distance.NewBaseline(s.cfg.Dist, chart)}
 	}
-	r.charts = charts
-	return charts, nil
-}
-
-// relBaselines returns each view's distance baseline over its committed
-// chart. Callers must have read relCharts without error first.
-func (s *Session) relBaselines() []*distance.Baseline {
-	r := s.relation()
-	if r.bases == nil {
-		r.bases = make([]*distance.Baseline, len(r.charts))
-		for v, d := range r.charts {
-			r.bases[v] = s.baselineFor(v, d)
-		}
-	}
-	return r.bases
+	r.views = views
+	return views, nil
 }
 
 // CurrentVis computes the primary view's visualization over the current
@@ -125,21 +121,25 @@ func (s *Session) CurrentVisView(v int) (*vis.Data, error) {
 	if v < 0 || v >= len(s.queries) {
 		return nil, fmt.Errorf("pipeline: view %d out of range: the session has %d view(s)", v, len(s.queries))
 	}
-	charts, err := s.relCharts()
+	views, err := s.relViews()
 	if err != nil {
 		return nil, err
 	}
-	return charts[v], nil
+	return views[v].chart, nil
 }
 
 // CurrentVisAll returns every registered view's chart, in registration
 // order, over one shared cleaned relation. The slice is the caller's.
 func (s *Session) CurrentVisAll() ([]*vis.Data, error) {
-	charts, err := s.relCharts()
+	views, err := s.relViews()
 	if err != nil {
 		return nil, err
 	}
-	return append([]*vis.Data(nil), charts...), nil
+	charts := make([]*vis.Data, len(views))
+	for v, cv := range views {
+		charts[v] = cv.chart
+	}
+	return charts, nil
 }
 
 // DistToTruth reports the current distance to the ground-truth

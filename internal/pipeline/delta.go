@@ -1,13 +1,11 @@
 package pipeline
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
 	"visclean/internal/benefit"
 	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
 	"visclean/internal/vql"
@@ -16,9 +14,10 @@ import (
 // deltaPricer prices hypotheses by incremental delta evaluation instead
 // of the full view-rebuild-and-execute path. One pricer is built per
 // iteration after freezeShared over the session's committed relation
-// (committed.go): it registers the committed rows with one incremental
-// query executor per view and prices against the views' committed
-// distance baselines, and each hypothesis then costs only its delta:
+// (committed.go): it evaluates through the incremental executors the
+// relation registered over its rows and prices against the views'
+// committed distance baselines, and each hypothesis then costs only its
+// delta:
 //
 //   - an M/O cell override perturbs exactly one cluster's consolidated
 //     row, and only its yCol cell;
@@ -58,13 +57,11 @@ import (
 // relation (never written once built) and per-call private structures.
 type deltaPricer struct {
 	s *Session
-	// bases / execs hold one distance baseline and one incremental
-	// executor per registered view, in registration order. All
-	// executors are registered over the same committed rows (the cleaned
-	// relation is query-independent), so one delta materialization
-	// prices every view.
-	bases []*distance.Baseline
-	execs []*vql.Incremental
+	// views are the committed relation's views, in registration order.
+	// Every view's executor is registered over the same committed rows
+	// (the cleaned relation is query-independent), so one delta
+	// materialization prices every view.
+	views []committedView
 
 	groups  [][]dataset.TupleID // committed partition, Groups(1) order
 	rows    [][]dataset.Value   // committed rows; nil when a group has none
@@ -91,38 +88,26 @@ type deltaPricer struct {
 // committed relation. Callers must freezeShared first. It fails only
 // when a view's chart cannot be derived.
 func (s *Session) newDeltaPricer() (*deltaPricer, error) {
-	if _, err := s.relCharts(); err != nil {
+	views, err := s.relViews()
+	if err != nil {
 		return nil, err
 	}
 	rel := s.relRows()
 	p := &deltaPricer{
 		s:       s,
-		bases:   s.relBaselines(),
+		views:   views,
 		groups:  rel.groups,
 		rows:    rel.rows,
+		ranks:   make([]int64, len(rel.groups)),
 		groupOf: make(map[dataset.TupleID]int),
 		posting: make(map[string]map[string][]int),
 		rawRep:  make(map[string]map[string]string),
 	}
-	p.ranks = make([]int64, len(p.groups))
-
-	rows := make([]vql.IncRow, 0, len(p.groups))
 	for gi, g := range p.groups {
 		p.ranks[gi] = int64(g[0])
 		for _, id := range g {
 			p.groupOf[id] = gi
 		}
-		if p.rows[gi] != nil {
-			rows = append(rows, vql.IncRow{Rank: p.ranks[gi], Vals: p.rows[gi]})
-		}
-	}
-	p.execs = make([]*vql.Incremental, len(s.queries))
-	for v, q := range s.queries {
-		exec, err := q.NewIncremental(s.table.Schema(), rows)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: pricing view %d: %w", v, err)
-		}
-		p.execs[v] = exec
 	}
 
 	schema := s.table.Schema()
@@ -383,8 +368,8 @@ func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retou
 	// The views' sum, in registration order from the first term: a sum
 	// started at 0.0 would turn a one-view −0 distance into +0.
 	var total float64
-	for v, exec := range p.execs {
-		if d := p.bases[v].Distance(exec.Eval(ranks, added)); v == 0 {
+	for v, cv := range p.views {
+		if d := cv.base.Distance(cv.exec.Eval(ranks, added)); v == 0 {
 			total = d
 		} else {
 			total += d

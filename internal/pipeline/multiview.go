@@ -3,11 +3,12 @@ package pipeline
 // Multi-view sessions: one Session serving N concurrent VQL views over
 // the same base data (DESIGN.md §13). Views share the cleaned relation —
 // buildView/viewRowFor are query-independent — so the per-view cost is
-// only query execution, incremental delta evaluation and the distance
-// baseline. Question benefit aggregates across views as the sum
-// Σ_i dist_i, accumulated in view registration order from the first
-// term, which keeps every worker count bit-identical and makes a
-// single-view session the N=1 case of the same formula.
+// only its executor's registration over the committed rows, incremental
+// delta evaluation and the distance baseline. Question benefit
+// aggregates across views as the sum Σ_i dist_i, accumulated in view
+// registration order from the first term, which keeps every worker
+// count bit-identical and makes a single-view session the N=1 case of
+// the same formula.
 
 import (
 	"fmt"
@@ -90,7 +91,6 @@ func (s *Session) applyAddView(q *vql.Query) error {
 	}
 	s.logAnswer(Answer{Kind: AnswerKindV, Query: q.String()})
 	s.queries = append(s.queries, q)
-	s.basevis = append(s.basevis, nil)
 	obsViewRegistrations.Inc()
 
 	before := len(s.aColumns)

@@ -136,8 +136,9 @@ type Config struct {
 	// (internal/artifact, DESIGN.md §12). Session setup acquires the
 	// heavy immutables — match candidates, feature vectors, the first
 	// trained forest, token indexes, frozen standardizers, similarity
-	// joins, the pristine charts — from it instead of building them
-	// privately. Nil builds every one of them for this session alone.
+	// joins, the pristine views' executors — from it instead of
+	// building them privately. Nil builds every one of them for this
+	// session alone.
 	Artifacts *artifact.Cache
 
 	// TruthVis, when set, lets reports include the distance to the
@@ -314,14 +315,12 @@ type Session struct {
 	// cache ("" when the cache is off). artMu guards the retained handle
 	// list: Close may race with a still-running iteration's lazy
 	// acquisitions (see artifacts.go). stdBase caches the per-column
-	// shared standardizer bases; basevis the per-view pristine charts,
-	// aligned with queries.
+	// shared standardizer bases.
 	fingerprint string
 	artMu       sync.Mutex
 	artClosed   bool
 	artHandles  []*artifact.Handle
 	stdBase     map[int]*goldenrec.Standardizer
-	basevis     []*basevisArtifact
 }
 
 type aKey struct {
@@ -363,7 +362,6 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 		s.queries = append(s.queries, q)
 		obsViewRegistrations.Inc()
 	}
-	s.basevis = make([]*basevisArtifact, len(s.queries))
 
 	// The A-column set is the union over every view, in registration
 	// order: the primary view's columns come first, so the N=1 session
@@ -676,11 +674,14 @@ func (s *Session) SetTraceLabel(label string) { s.traceLabel = label }
 // span of the same phase name (see internal/obs and DESIGN.md §5).
 //
 // View is the after build: the committed relation rebuilt over the
-// refreshed model, and every view's query executed over it. The before
-// charts are that relation as the previous iteration left it, so they
-// cost nothing — except on a session's first iteration, or after a
-// cancelled iteration, an AddView or a Replay, when View also pays for
-// building them.
+// refreshed model, with every view's incremental executor registered
+// over its rows, the executor's base taken as the view's chart, and the
+// chart's distance baseline. The next annotate prices against those
+// executors and baselines without building its own. The before charts
+// are that relation as the previous iteration left it, so they cost
+// nothing — except on a session's first iteration, or after a cancelled
+// iteration, an AddView or a Replay, when View also pays for building
+// them.
 type Timings struct {
 	Detect   time.Duration // error detection: Q_T/Q_A/Q_M/Q_O generation
 	BuildERG time.Duration // ERG construction
@@ -688,7 +689,7 @@ type Timings struct {
 	Select   time.Duration // CQG selection
 	Apply    time.Duration // repairing data from answers
 	Train    time.Duration // model retraining + cluster refresh
-	View     time.Duration // committed-relation build + query execution (see below)
+	View     time.Duration // committed-relation build + executor registration (see below)
 	Distance time.Duration // visualization distance computations (moved / to-truth)
 }
 

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"visclean/internal/artifact"
 	"visclean/internal/datagen"
 	"visclean/internal/dataset"
+	"visclean/internal/distance"
 	"visclean/internal/experiments"
 	"visclean/internal/oracle"
 	"visclean/internal/pipeline"
@@ -20,6 +22,10 @@ import (
 // The workloads cover every column-granular delta shape: GROUP and BIN
 // axes, WHERE predicates over A-columns and numeric columns, all three
 // datasets, and the multi-view dashboard priced as its per-view sum.
+// The warm cases open on an artifact cache that a first session, with
+// the default distance, has already filled, so their first iteration
+// prices through the shared pristine executors: the dashboard's three
+// GROUP and BIN views, and a session whose distance is not the default.
 // The log line gives the counts per pricer path.
 func TestIncrementalPricingBitIdentical(t *testing.T) {
 	task := func(id string) string {
@@ -35,14 +41,18 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 		scale   float64
 		seed    int64
 		queries []string
+		dist    distance.Func // nil: the default
+		warm    bool
 	}{
 		// The Q1 rows keep the names they had when Q1 was the only case.
-		{"seed7", datagen.D1, 0.004, 7, []string{task("Q1")}},
-		{"seed13", datagen.D1, 0.004, 13, []string{task("Q1")}},
-		{"D1-Q7", datagen.D1, 0.01, 7, []string{task("Q7")}},
-		{"D2-Q11", datagen.D2, 0.01, 7, []string{task("Q11")}},
-		{"D3-Q15", datagen.D3, 0.01, 7, []string{task("Q15")}},
-		{"D1-dashboard", datagen.D1, 0.01, 7, experiments.MultiViewViews()},
+		{"seed7", datagen.D1, 0.004, 7, []string{task("Q1")}, nil, false},
+		{"seed13", datagen.D1, 0.004, 13, []string{task("Q1")}, nil, false},
+		{"D1-Q7", datagen.D1, 0.01, 7, []string{task("Q7")}, nil, false},
+		{"D2-Q11", datagen.D2, 0.01, 7, []string{task("Q11")}, nil, false},
+		{"D3-Q15", datagen.D3, 0.01, 7, []string{task("Q15")}, nil, false},
+		{"D1-dashboard", datagen.D1, 0.01, 7, experiments.MultiViewViews(), nil, false},
+		{"D1-dashboard-warm", datagen.D1, 0.01, 7, experiments.MultiViewViews(), nil, true},
+		{"seed7-EMD-warm", datagen.D1, 0.004, 7, []string{task("Q1")}, distance.EMD, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -53,11 +63,30 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 			for _, src := range tc.queries {
 				qs = append(qs, vql.MustParse(src))
 			}
-			s, err := pipeline.NewSession(d.Dirty, qs[0], d.KeyColumns, pipeline.Config{
-				Seed: tc.seed, Workers: 1, Queries: qs[1:],
-			})
-			if err != nil {
-				t.Fatal(err)
+			cfg := pipeline.Config{Seed: tc.seed, Workers: 1, Queries: qs[1:]}
+			open := func() *pipeline.Session {
+				s, err := pipeline.NewSession(d.Dirty, qs[0], d.KeyColumns, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.CurrentVisAll(); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			var filled int
+			if tc.warm {
+				cfg.Artifacts = artifact.New(0)
+				open().Close()
+				filled = cfg.Artifacts.Stats().Entries
+			}
+			cfg.Dist = tc.dist
+			s := open()
+			defer s.Close()
+			if tc.warm {
+				if n := cfg.Artifacts.Stats().Entries; n != filled {
+					t.Fatalf("setup: opening on the warm cache added %d artifacts", n-filled)
+				}
 			}
 			user := oracle.New(d.Truth, tc.seed)
 			var counts pipeline.PriceCounts

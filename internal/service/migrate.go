@@ -80,6 +80,8 @@ func (r *Registry) Detach(id string) (Snapshot, error) {
 	r.mu.Unlock()
 
 	if wedged {
+		// Safe beside the still-running iteration, as in teardownAll.
+		s.ps.Close()
 		r.cfg.Logf("service: session %s iteration did not stop within %v during detach; handing over last persisted boundary",
 			id, r.cfg.TeardownTimeout)
 		snap, err := r.readDiskSnapshot(id)
@@ -97,6 +99,9 @@ func (r *Registry) Detach(id string) (Snapshot, error) {
 		SavedAtUnix: time.Now().Unix(),
 		History:     s.ps.History(),
 	}
+	// The session is out of this registry for good: release its
+	// artifact-cache handles so the shared entries can go idle.
+	s.ps.Close()
 	obsSessionsDetached.Inc()
 	r.cfg.Logf("service: session %s detached (%d iterations, %d answers)",
 		id, len(snap.History.Iterations), snap.History.NumAnswers())
@@ -153,6 +158,11 @@ func (r *Registry) Attach(snap Snapshot) error {
 		err = ps.Replay(snap.History)
 	}
 	if err != nil {
+		if ps != nil {
+			// The factory built the session but replay failed: release its
+			// artifact-cache handles before discarding it.
+			ps.Close()
+		}
 		r.releaseSlot()
 		return fmt.Errorf("service: attach session %s: %w", id, err)
 	}
@@ -162,6 +172,7 @@ func (r *Registry) Attach(snap Snapshot) error {
 	if r.closed {
 		r.mu.Unlock()
 		s.cancel()
+		s.ps.Close()
 		return ErrClosed
 	}
 	r.sessions[id] = s

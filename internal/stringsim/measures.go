@@ -1,16 +1,15 @@
 // Package stringsim implements the string similarity measures and the
 // set-similarity join that VisClean's cleaning components rely on:
 //
-//   - token and q-gram set similarities (Jaccard, Dice, cosine) used by
-//     the entity-matching features (§IV) and attribute-duplicate detection,
-//   - edit-based similarities (Levenshtein, Jaro-Winkler) used as extra
-//     matching features,
+//   - token-set Jaccard, used by the entity-matching features (§IV, over
+//     prepared token ids), the kNN index and attribute-duplicate
+//     detection,
+//   - Jaro-Winkler, the entity-matching features' edit-based measure,
 //   - a prefix-filter string similarity join (Jiang et al. [16]) used by
 //     Algorithm 1 Strategy 2 to find cross-cluster synonym candidates.
 package stringsim
 
 import (
-	"math"
 	"strings"
 	"unicode"
 )
@@ -31,25 +30,6 @@ func TokenSet(s string) map[string]struct{} {
 		set[tok] = struct{}{}
 	}
 	return set
-}
-
-// QGrams returns the padded character q-grams of the lower-cased string.
-// q must be >= 1; the string is padded with q-1 sentinel '#' characters on
-// both sides so short strings still produce grams.
-func QGrams(s string, q int) []string {
-	if q < 1 {
-		panic("stringsim: q must be >= 1")
-	}
-	pad := strings.Repeat("#", q-1)
-	runes := []rune(pad + strings.ToLower(s) + pad)
-	if len(runes) < q {
-		return nil
-	}
-	grams := make([]string, 0, len(runes)-q+1)
-	for i := 0; i+q <= len(runes); i++ {
-		grams = append(grams, string(runes[i:i+q]))
-	}
-	return grams
 }
 
 func overlap(a, b map[string]struct{}) int {
@@ -79,81 +59,6 @@ func JaccardSets(a, b map[string]struct{}) float64 {
 // Jaccard is token-set Jaccard similarity of two strings.
 func Jaccard(a, b string) float64 {
 	return JaccardSets(TokenSet(a), TokenSet(b))
-}
-
-// Dice computes the Sørensen–Dice coefficient over token sets.
-func Dice(a, b string) float64 {
-	sa, sb := TokenSet(a), TokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	return 2 * float64(overlap(sa, sb)) / float64(len(sa)+len(sb))
-}
-
-// Cosine computes the cosine similarity over token sets (binary weights).
-func Cosine(a, b string) float64 {
-	sa, sb := TokenSet(a), TokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	return float64(overlap(sa, sb)) / math.Sqrt(float64(len(sa))*float64(len(sb)))
-}
-
-// Levenshtein returns the edit distance between a and b (unit costs).
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// LevenshteinSim normalizes edit distance into a [0,1] similarity.
-func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
 }
 
 // LowerRunes returns the lower-cased runes of s, the form Jaro and

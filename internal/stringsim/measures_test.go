@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -32,29 +31,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestQGrams(t *testing.T) {
-	got := QGrams("ab", 2)
-	want := []string{"#a", "ab", "b#"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("QGrams = %v, want %v", got, want)
-	}
-	if g := QGrams("", 3); g != nil {
-		// padded empty string "####" yields grams; verify deterministic behaviour
-		if len(g) != 2 {
-			t.Fatalf("QGrams(\"\",3) = %v", g)
-		}
-	}
-}
-
-func TestQGramsPanicsOnBadQ(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	QGrams("x", 0)
-}
-
 func TestJaccard(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -70,45 +46,6 @@ func TestJaccard(t *testing.T) {
 		if got := Jaccard(c.a, c.b); !almostEq(got, c.want) {
 			t.Errorf("Jaccard(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestDiceAndCosine(t *testing.T) {
-	if got := Dice("a b", "b c"); !almostEq(got, 0.5) {
-		t.Errorf("Dice = %v, want 0.5", got)
-	}
-	if got := Cosine("a b", "b c"); !almostEq(got, 0.5) {
-		t.Errorf("Cosine = %v, want 0.5", got)
-	}
-	if Dice("", "x") != 0 || Cosine("", "x") != 0 {
-		t.Error("empty-vs-nonempty should be 0")
-	}
-	if Dice("", "") != 1 || Cosine("", "") != 1 {
-		t.Error("empty-vs-empty should be 1")
-	}
-}
-
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"kitten", "sitting", 3},
-		{"", "abc", 3},
-		{"abc", "", 3},
-		{"abc", "abc", 0},
-		{"SIGMOD", "SIGMD", 1},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-	if got := LevenshteinSim("abc", "abc"); got != 1 {
-		t.Errorf("LevenshteinSim identical = %v", got)
-	}
-	if got := LevenshteinSim("", ""); got != 1 {
-		t.Errorf("LevenshteinSim empty = %v", got)
 	}
 }
 
@@ -132,11 +69,8 @@ func TestJaroWinkler(t *testing.T) {
 // self-similarity 1.
 func TestQuickSimilarityAxioms(t *testing.T) {
 	sims := map[string]func(a, b string) float64{
-		"Jaccard":        Jaccard,
-		"Dice":           Dice,
-		"Cosine":         Cosine,
-		"LevenshteinSim": LevenshteinSim,
-		"JaroWinkler":    JaroWinkler,
+		"Jaccard":     Jaccard,
+		"JaroWinkler": JaroWinkler,
 	}
 	words := []string{"sigmod", "vldb", "icde", "conf", "very", "large", "data", "bases", "13", "2013"}
 	rng := rand.New(rand.NewSource(7))
@@ -165,18 +99,5 @@ func TestQuickSimilarityAxioms(t *testing.T) {
 				t.Fatalf("%s self-similarity on %q = %v", name, a, s)
 			}
 		}
-	}
-}
-
-// Property: Levenshtein is a metric (triangle inequality) on short strings.
-func TestQuickLevenshteinTriangle(t *testing.T) {
-	f := func(a, b, c string) bool {
-		if len(a) > 12 || len(b) > 12 || len(c) > 12 {
-			return true
-		}
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

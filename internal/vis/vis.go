@@ -7,6 +7,7 @@ package vis
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -47,15 +48,6 @@ type Data struct {
 	Points []Point
 }
 
-// YVector returns the raw y values in point order.
-func (d *Data) YVector() []float64 {
-	out := make([]float64, len(d.Points))
-	for i, p := range d.Points {
-		out[i] = p.Y
-	}
-	return out
-}
-
 // NormalizedY returns the y values scaled to sum to 1, as required by the
 // EMD formulation of §II-B. Negative y values are shifted so the minimum
 // maps to zero before normalization (EMD needs non-negative mass). A
@@ -63,30 +55,17 @@ func (d *Data) YVector() []float64 {
 // mark whose y is not finite (a NaN or ±Inf aggregate) gets zero mass
 // and takes no part in the minimum, the shift, the sum or the uniform
 // distribution, so it cannot turn the other marks' masses into NaN.
+// When finite marks are so large that a shifted mark or the sum
+// overflows, they are scaled by a power of two first; that is exact, so
+// the masses keep their ratios, and every series whose shifted sum is
+// finite normalizes unscaled.
 func (d *Data) NormalizedY() []float64 {
 	out := make([]float64, len(d.Points))
-	min, finite := math.Inf(1), 0
-	for _, p := range d.Points {
-		if isFinite(p.Y) {
-			finite++
-			if p.Y < min {
-				min = p.Y
-			}
-		}
-	}
-	if finite == 0 {
-		return out
-	}
-	shift := 0.0
-	if min < 0 {
-		shift = -min
-	}
-	sum := 0.0
-	for i, p := range d.Points {
-		if isFinite(p.Y) {
-			out[i] = p.Y + shift
-			sum += out[i]
-		}
+	sum, finite := d.shiftInto(out, 1)
+	if math.IsInf(sum, 1) {
+		// Each scaled mark is below MaxFloat64/(4·finite), so neither a
+		// shifted mark nor the sum of finite of them can overflow.
+		sum, _ = d.shiftInto(out, math.Ldexp(1, -2-bits.Len(uint(finite))))
 	}
 	if sum <= 0 {
 		for i, p := range d.Points {
@@ -102,17 +81,33 @@ func (d *Data) NormalizedY() []float64 {
 	return out
 }
 
-func isFinite(y float64) bool { return !math.IsNaN(y) && !math.IsInf(y, 0) }
-
-// LabelMap returns y values keyed by label, for label-aligned distances.
-// Duplicate labels accumulate.
-func (d *Data) LabelMap() map[string]float64 {
-	m := make(map[string]float64, len(d.Points))
+// shiftInto writes every finite mark's y times scale into out, shifted
+// so that the smallest is zero when it is negative, and returns their
+// sum and how many marks are finite.
+func (d *Data) shiftInto(out []float64, scale float64) (sum float64, finite int) {
+	min := math.Inf(1)
 	for _, p := range d.Points {
-		m[p.Label] += p.Y
+		if isFinite(p.Y) {
+			finite++
+			if y := p.Y * scale; y < min {
+				min = y
+			}
+		}
 	}
-	return m
+	shift := 0.0
+	if min < 0 {
+		shift = -min
+	}
+	for i, p := range d.Points {
+		if isFinite(p.Y) {
+			out[i] = p.Y*scale + shift
+			sum += out[i]
+		}
+	}
+	return sum, finite
 }
+
+func isFinite(y float64) bool { return !math.IsNaN(y) && !math.IsInf(y, 0) }
 
 // Clone deep-copies the data.
 func (d *Data) Clone() *Data {

@@ -304,12 +304,3 @@ func cmpFloat(a, b float64, desc bool) int {
 	}
 	return c
 }
-
-// ReplaceDatasetName returns a copy of the query with FROM rewritten;
-// the experiment harness uses it to point one task at scaled datasets.
-func (q *Query) ReplaceDatasetName(name string) *Query {
-	cp := *q
-	cp.From = name
-	cp.Where = append([]Predicate(nil), q.Where...)
-	return &cp
-}

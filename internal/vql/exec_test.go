@@ -266,15 +266,3 @@ func TestExecuteDoesNotMutateTable(t *testing.T) {
 		t.Fatal("Execute mutated the table")
 	}
 }
-
-func TestReplaceDatasetName(t *testing.T) {
-	q := MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue WHERE Year > 2009`)
-	q2 := q.ReplaceDatasetName("scaled")
-	if q2.From != "scaled" || q.From != "D1" {
-		t.Fatalf("rename: %q / %q", q2.From, q.From)
-	}
-	q2.Where[0].NumValue = 1
-	if q.Where[0].NumValue != 2009 {
-		t.Fatal("Where slice aliased")
-	}
-}

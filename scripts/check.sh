@@ -8,7 +8,8 @@
 # sessions must be byte-identical, and at every session state the delta
 # pricer and the maintained detectors must reproduce the full rebuild
 # and the from-scratch detectors bit for bit), ten race-detector runs of the
-# shared kNN artifact under concurrent sessions, the docs gate, and a
+# shared artifacts (the kNN base, and the pristine executors concurrent
+# sessions' pricers read) under concurrent sessions, the docs gate, and a
 # one-shot benchmark smoke so the bench harness cannot rot. CI and
 # pre-commit both run this.
 #
@@ -64,8 +65,8 @@ go test -run '^$' -fuzz '^FuzzCSVRoundTrip$' -fuzztime 10s ./internal/dataset
 echo "== determinism + incremental equivalence suites (-race)"
 go test -race -count=1 -run 'TestDeterminism|TestIncremental|TestDetectEquivalence' ./internal/pipeline/
 
-echo "== shared kNN artifact under concurrent sessions (-race, 10 runs)"
-go test -race -count=10 -run '^TestKnnBaseSharedAcrossSessions$' ./internal/pipeline/
+echo "== shared kNN and basevis artifacts under concurrent sessions (-race, 10 runs)"
+go test -race -count=10 -run '^(TestKnnBaseSharedAcrossSessions|TestDeterminismArtifactCacheConcurrent)$' ./internal/pipeline/
 
 echo "== chaos suite: fault-injection kill-restart (-race, short mode)"
 go test -race -short -count=1 -run 'TestChaos' ./internal/service/
