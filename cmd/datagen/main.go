@@ -41,17 +41,9 @@ func main() {
 }
 
 func emit(name string, scale float64, seed int64, out string) error {
-	cfg := datagen.Config{Scale: scale, Seed: seed}
-	var d *datagen.Dataset
-	switch name {
-	case "D1":
-		d = datagen.D1(cfg)
-	case "D2":
-		d = datagen.D2(cfg)
-	case "D3":
-		d = datagen.D3(cfg)
-	default:
-		return fmt.Errorf("unknown dataset %q (want D1, D2, D3 or all)", name)
+	d, err := datagen.ByName(name, datagen.Config{Scale: scale, Seed: seed})
+	if err != nil {
+		return fmt.Errorf("%w, or all", err)
 	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err

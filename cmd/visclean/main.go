@@ -85,12 +85,6 @@ func writeMetrics(path string) error {
 	return f.Close()
 }
 
-var defaultQueries = map[string]string{
-	"D1": `VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`,
-	"D2": `VISUALIZE bar SELECT Team, SUM(#Points) FROM D2 TRANSFORM GROUP BY Team SORT Y BY DESC LIMIT 10`,
-	"D3": `VISUALIZE bar SELECT Publ, AVG(Rating) FROM D3 TRANSFORM GROUP BY Publ SORT Y BY DESC LIMIT 10`,
-}
-
 func run(csvPath, dsName, queryStr string, scale float64, budget, k int, selectorName string, seed int64, interactive bool, statePath string, resume bool) error {
 	var resumeHistory pipeline.History
 	if resume {
@@ -125,21 +119,13 @@ func run(csvPath, dsName, queryStr string, scale float64, budget, k int, selecto
 	)
 	switch {
 	case dsName != "":
-		cfg := datagen.Config{Scale: scale, Seed: seed}
-		var d *datagen.Dataset
-		switch dsName {
-		case "D1":
-			d = datagen.D1(cfg)
-		case "D2":
-			d = datagen.D2(cfg)
-		case "D3":
-			d = datagen.D3(cfg)
-		default:
-			return fmt.Errorf("unknown dataset %q", dsName)
+		d, err := datagen.ByName(dsName, datagen.Config{Scale: scale, Seed: seed})
+		if err != nil {
+			return err
 		}
 		tbl, keyCols, truth = d.Dirty, d.KeyColumns, d.Truth
 		if queryStr == "" {
-			queryStr = defaultQueries[dsName]
+			queryStr = service.Spec{Dataset: dsName}.WithDefaults().Query
 		}
 	case csvPath != "":
 		tbl, err = dataset.LoadCSVFile(csvPath, nil)

@@ -196,7 +196,7 @@ func TestGSSPlusPrunesCertainEdges(t *testing.T) {
 	mustAdd(t, g, erg.Edge{A: 1, B: 2, HasT: true, PT: 0.95, Benefit: 10})
 	mustAdd(t, g, erg.Edge{A: 2, B: 3, HasT: true, PT: 0.5, Benefit: 1})
 	mustAdd(t, g, erg.Edge{A: 3, B: 4, HasT: true, PT: 0.6, Benefit: 1})
-	res := GSSPlus(g, 2, GSSPlusOptions{})
+	res := GSSPlus(g, 2)
 	for _, v := range res.Vertices {
 		if v == 1 {
 			t.Fatalf("pruned edge's endpoint selected: %v", res.Vertices)
@@ -215,7 +215,7 @@ func TestGSSPlusEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	g := randomERG(rng, 60, 0.2)
 	full := GSS(g, 5)
-	early := GSSPlus(g, 5, GSSPlusOptions{PruneLow: 0, PruneHigh: 1, EarlyStop: 1})
+	early := gss(g, 5, gssOptions{prune: true, pruneLow: 0, pruneHigh: 1, earlyStop: 1})
 	// Early stop may be worse but never better than full GSS with the
 	// same (unpruned) edge set... it can differ; just sanity-check shape.
 	if len(early.Vertices) == 0 {

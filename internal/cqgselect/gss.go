@@ -48,31 +48,22 @@ func GSS(g *erg.Graph, k int) Result {
 	return gss(g, k, gssOptions{})
 }
 
-// GSSPlusOptions tunes the optimized variant.
-type GSSPlusOptions struct {
-	// PruneLow/PruneHigh keep only edges whose question probability is
-	// uncertain: an edge survives if p^t or p^a lies in [PruneLow,
-	// PruneHigh]. Zero values select the paper's [0.3, 0.7].
-	PruneLow, PruneHigh float64
-	// EarlyStop terminates edge iteration after this many complete
-	// k-subgraphs have been evaluated. Zero selects the paper's m = 20.
-	EarlyStop int
-}
+// GSS+'s operating parameters (§V-B): an edge survives pruning if its
+// question probability lies in [gssPlusLow, gssPlusHigh], and edge
+// iteration stops after gssPlusEarlyStop complete k-subgraphs (m).
+const (
+	gssPlusLow, gssPlusHigh = 0.3, 0.7
+	gssPlusEarlyStop        = 20
+)
 
 // GSSPlus runs GSS with the §V-B optimizations: edge pruning to the
 // uncertain band and early termination.
-func GSSPlus(g *erg.Graph, k int, opts GSSPlusOptions) Result {
-	if opts.PruneLow == 0 && opts.PruneHigh == 0 {
-		opts.PruneLow, opts.PruneHigh = 0.3, 0.7
-	}
-	if opts.EarlyStop == 0 {
-		opts.EarlyStop = 20
-	}
+func GSSPlus(g *erg.Graph, k int) Result {
 	return gss(g, k, gssOptions{
 		prune:     true,
-		pruneLow:  opts.PruneLow,
-		pruneHigh: opts.PruneHigh,
-		earlyStop: opts.EarlyStop,
+		pruneLow:  gssPlusLow,
+		pruneHigh: gssPlusHigh,
+		earlyStop: gssPlusEarlyStop,
 	})
 }
 

@@ -48,6 +48,19 @@ type Dataset struct {
 	MeasureColumns []string
 }
 
+// ByName generates the dataset named "D1", "D2" or "D3".
+func ByName(name string, cfg Config) (*Dataset, error) {
+	switch name {
+	case "D1":
+		return D1(cfg), nil
+	case "D2":
+		return D2(cfg), nil
+	case "D3":
+		return D3(cfg), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q: want D1, D2 or D3", name)
+}
+
 // Stats summarizes a generated dataset for Table IV verification.
 type Stats struct {
 	Attributes     int

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"visclean/internal/dataset"
@@ -85,6 +86,25 @@ func TestGenerationDeterministic(t *testing.T) {
 		if same {
 			t.Fatal("different seeds produced identical data")
 		}
+	}
+}
+
+// TestByName: each name generates its own dataset, and an unknown name
+// is an error that names the valid ones.
+func TestByName(t *testing.T) {
+	cfg := Config{Scale: 0.005, Seed: 3}
+	for name, gen := range map[string]func(Config) *Dataset{"D1": D1, "D2": D2, "D3": D3} {
+		got, err := ByName(name, cfg)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		want := gen(cfg)
+		if got.Dirty.Fingerprint() != want.Dirty.Fingerprint() || got.Truth.Clean.Fingerprint() != want.Truth.Clean.Fingerprint() {
+			t.Errorf("ByName(%q) does not generate %s's tables", name, name)
+		}
+	}
+	if _, err := ByName("D4", cfg); err == nil || !strings.Contains(err.Error(), "D1, D2 or D3") {
+		t.Fatalf("ByName(\"D4\") error = %v, want one naming D1, D2 or D3", err)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestNaNDistanceIsCanonical(t *testing.T) {
 	want := math.Float64bits(math.NaN())
 	for i, a := range charts {
 		for j, b := range charts {
-			for name, got := range map[string]float64{"Default": Default(a, b), "Baseline": NewBaseline(Default, a).Distance(b)} {
+			for name, got := range map[string]float64{"Default": Default(a, b), "Baseline": NewBaseline(a).Distance(b)} {
 				if math.IsNaN(got) && math.Float64bits(got) != want {
 					t.Errorf("%s(chart %d, chart %d) = NaN with bits %016x, want %016x", name, i, j, math.Float64bits(got), want)
 				}

@@ -304,7 +304,3 @@ func unionLabels(a, b map[string]float64) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Func is a visualization distance function. The pipeline is parameterized
-// over it; EMD is the default per the paper.
-type Func func(a, b *vis.Data) float64

@@ -150,7 +150,7 @@ func TestLabelAlignedDistances(t *testing.T) {
 	if got := L2(a, b); math.Abs(got-math.Sqrt(0.5)) > 1e-12 {
 		t.Fatalf("L2 = %v", got)
 	}
-	for name, f := range map[string]Func{"L1": L1, "L2": L2, "KL": KL, "JS": JS} {
+	for name, f := range map[string]func(a, b *vis.Data) float64{"L1": L1, "L2": L2, "KL": KL, "JS": JS} {
 		if d := f(a, a); d > 1e-6 {
 			t.Errorf("%s identity = %v", name, d)
 		}
@@ -159,7 +159,7 @@ func TestLabelAlignedDistances(t *testing.T) {
 		}
 	}
 	// Symmetric ones.
-	for name, f := range map[string]Func{"L1": L1, "L2": L2, "JS": JS} {
+	for name, f := range map[string]func(a, b *vis.Data) float64{"L1": L1, "L2": L2, "JS": JS} {
 		if d1, d2 := f(a, b), f(b, a); math.Abs(d1-d2) > 1e-12 {
 			t.Errorf("%s not symmetric: %v vs %v", name, d1, d2)
 		}

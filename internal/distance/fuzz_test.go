@@ -43,7 +43,7 @@ func FuzzBaseline(f *testing.F) {
 		ca, cb := fuzzChart(a, u, v), fuzzChart(b, u, v)
 		for _, pair := range [][2]*vis.Data{{ca, cb}, {cb, ca}, {ca, ca}} {
 			base, after := pair[0], pair[1]
-			got := NewBaseline(Default, base).Distance(after)
+			got := NewBaseline(base).Distance(after)
 			want := Default(base, after)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Baseline(%+v).Distance(%+v) = %v (bits %016x), Default = %v (bits %016x)",

@@ -2,7 +2,6 @@ package distance
 
 import (
 	"math"
-	"reflect"
 	"sort"
 
 	"visclean/internal/vis"
@@ -15,39 +14,27 @@ import (
 // Distance call per hypothesis.
 //
 // Bit-identity contract: Distance(after) returns exactly the same float
-// bits as dist(base, after). For Default that holds because the fast
-// paths below perform the identical arithmetic in the identical order —
-// the base prefix sums replay cdf's left-to-right additions, and the
-// label union is enumerated in the same sorted order L1 uses. For any
-// other dist the Baseline simply forwards, so the contract is trivially
-// preserved.
+// bits as Default(base, after). That holds because the paths below
+// perform the identical arithmetic in the identical order — the base
+// prefix sums replay cdf's left-to-right additions, and the label union
+// is enumerated in the same sorted order L1 uses.
 type Baseline struct {
-	dist Func
-	base *vis.Data
-	fast bool // dist is Default: use the incremental paths
-
-	// EMD1D intermediates (valid when fast).
+	// EMD1D intermediates.
 	basePositional bool
 	baseXs         []float64 // sorted support (duplicates kept, like EMD1D's xs)
 	basePrefix     []float64 // basePrefix[i] = mass of baseXs[:i+1] by running sum
 	baseEmpty      bool
 
-	// L1 intermediates (valid when fast).
+	// L1 intermediates.
 	baseMass   map[string]float64
 	baseLabels []string // sorted
 }
 
-// NewBaseline captures the base side of dist. base must not be mutated
-// afterwards. A Baseline is immutable and safe for concurrent Distance
-// calls.
-func NewBaseline(dist Func, base *vis.Data) *Baseline {
-	b := &Baseline{dist: dist, base: base}
-	b.fast = reflect.ValueOf(dist).Pointer() == reflect.ValueOf(Func(Default)).Pointer()
-	if !b.fast {
-		return b
-	}
-	b.basePositional = allPositional(base)
-	b.baseEmpty = len(base.Points) == 0
+// NewBaseline captures the base side of Default. base must not be
+// mutated afterwards. A Baseline is immutable and safe for concurrent
+// Distance calls.
+func NewBaseline(base *vis.Data) *Baseline {
+	b := &Baseline{basePositional: allPositional(base), baseEmpty: len(base.Points) == 0}
 
 	// EMD1D base side: the sorted (x, mass) support with running prefix
 	// sums. sortWeighted is the exact extraction EMD1D performs, so the
@@ -91,12 +78,9 @@ func sortWeighted(d *vis.Data) []weighted {
 	return out
 }
 
-// Distance returns dist(base, after), using the precomputed base
-// intermediates when dist is Default.
+// Distance returns Default(base, after) from the precomputed base
+// intermediates.
 func (b *Baseline) Distance(after *vis.Data) float64 {
-	if !b.fast {
-		return b.dist(b.base, after)
-	}
 	if b.basePositional && allPositional(after) {
 		return canonicalNaN(b.emd1d(after))
 	}

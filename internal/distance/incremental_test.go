@@ -40,7 +40,7 @@ func TestBaselineMatchesDefault(t *testing.T) {
 		{Points: []vis.Point{{Label: "a", Y: 5}, {Label: "b", X: 1, HasX: true, Y: 3}}},
 	}
 	for i, base := range charts {
-		bl := NewBaseline(Default, base)
+		bl := NewBaseline(base)
 		for j, after := range charts {
 			got := bl.Distance(after)
 			want := Default(base, after)
@@ -51,34 +51,17 @@ func TestBaselineMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestBaselineNonDefaultFallsBack checks a custom distance function is
-// forwarded untouched.
-func TestBaselineNonDefaultFallsBack(t *testing.T) {
-	calls := 0
-	custom := func(a, b *vis.Data) float64 {
-		calls++
-		return 42
-	}
-	bl := NewBaseline(custom, blCat(1, 2))
-	if got := bl.Distance(blCat(3)); got != 42 {
-		t.Fatalf("custom distance not forwarded: got %v", got)
-	}
-	if calls != 1 {
-		t.Fatalf("custom distance called %d times", calls)
-	}
-}
-
 // TestBaselineAgainstNamedFuncs cross-checks the fast paths against the
 // exported L1/EMD1D they shortcut.
 func TestBaselineAgainstNamedFuncs(t *testing.T) {
 	a := blCat(174, 1740, 15)
 	b := blCat(174, 40, 15)
-	if got, want := NewBaseline(Default, a).Distance(b), L1(a, b); got != want {
+	if got, want := NewBaseline(a).Distance(b), L1(a, b); got != want {
 		t.Fatalf("L1 path: %v != %v", got, want)
 	}
 	pa := blPos([2]float64{0, 1}, [2]float64{1, 2})
 	pb := blPos([2]float64{0.5, 4}, [2]float64{1, 1})
-	if got, want := NewBaseline(Default, pa).Distance(pb), EMD1D(pa, pb); got != want {
+	if got, want := NewBaseline(pa).Distance(pb), EMD1D(pa, pb); got != want {
 		t.Fatalf("EMD1D path: %v != %v", got, want)
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // Clusters is a partition of tuple ids into entities, the output of
 // matching. User-confirmed pairs are must-links, user-split pairs are
-// cannot-links; remaining candidates merge when the model's probability
-// clears the threshold, in descending-probability order, skipping any
+// cannot-links; the merge list's pairs, which the caller selected by
+// probability, merge in descending-probability order, skipping any
 // merge that would violate a cannot-link.
 type Clusters struct {
 	uf    *UnionFind
@@ -17,47 +17,30 @@ type Clusters struct {
 	ids   []dataset.TupleID
 }
 
-// ClusterConfig parameterizes clustering.
+// ClusterConfig carries the user's answers into clustering: must-links
+// (Confirmed) and cannot-links (Split).
 type ClusterConfig struct {
-	// Threshold is the auto-merge probability (0.5 in the paper's EM
-	// usage: pairs the model believes match).
-	Threshold float64
-	// Confirmed and Split are the user's answers: must-link / cannot-link.
 	Confirmed []Pair
 	Split     []Pair
 }
 
-// SortMergeCandidates scores the candidate pairs, keeps those at or
-// above the threshold and sorts them by descending probability with
-// deterministic tiebreaks. The result can be reused across many
-// BuildClustersSorted calls (the benefit model rebuilds clusters for
-// every T-hypothesis; scoring and sorting dominate if repeated).
-func SortMergeCandidates(candidates []Pair, prob func(Pair) float64, threshold float64) []ScoredPair {
-	scored := make([]ScoredPair, 0, len(candidates))
-	for _, p := range candidates {
-		if pr := prob(p); pr >= threshold {
-			scored = append(scored, ScoredPair{Pair: p, Prob: pr})
-		}
+// MergeBefore reports whether a precedes b in a merge list: descending
+// probability, then ascending (A, B). Over distinct pairs without a NaN
+// probability it is a strict total order, so every sort of one list
+// gives the same merge order.
+func MergeBefore(a, b ScoredPair) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].Prob != scored[j].Prob {
-			return scored[i].Prob > scored[j].Prob
-		}
-		if scored[i].Pair.A != scored[j].Pair.A {
-			return scored[i].Pair.A < scored[j].Pair.A
-		}
-		return scored[i].Pair.B < scored[j].Pair.B
-	})
-	return scored
+	if a.Pair.A != b.Pair.A {
+		return a.Pair.A < b.Pair.A
+	}
+	return a.Pair.B < b.Pair.B
 }
 
-// BuildClusters partitions the tuples of t.
-func BuildClusters(t *dataset.Table, candidates []Pair, prob func(Pair) float64, cfg ClusterConfig) *Clusters {
-	return BuildClustersSorted(t, SortMergeCandidates(candidates, prob, cfg.Threshold), cfg)
-}
-
-// BuildClustersSorted is BuildClusters over a pre-scored, pre-sorted
-// merge list (see SortMergeCandidates).
+// BuildClustersSorted partitions the tuples of t: the user's answers
+// first, then the merge list, which holds the auto-merge pairs sorted by
+// MergeBefore.
 func BuildClustersSorted(t *dataset.Table, sorted []ScoredPair, cfg ClusterConfig) *Clusters {
 	c := &Clusters{
 		index: make(map[dataset.TupleID]int, t.NumRows()),

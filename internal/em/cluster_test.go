@@ -48,7 +48,7 @@ func TestSplitReplayMatchesRebuild(t *testing.T) {
 				probs[p] = float64(rng.Intn(8)) / 7
 			}
 		}
-		sorted := SortMergeCandidates(cands, func(p Pair) float64 { return probs[p] }, 0.5)
+		sorted := mergeList(cands, func(p Pair) float64 { return probs[p] }, 0.5)
 		var confirmed, split []Pair
 		for i := rng.Intn(4); i > 0; i-- {
 			confirmed = append(confirmed, randPair())
@@ -57,7 +57,7 @@ func TestSplitReplayMatchesRebuild(t *testing.T) {
 			split = append(split, randPair())
 		}
 
-		b := NewClusterBuilder(tbl, sorted, ClusterConfig{Threshold: 0.5, Confirmed: confirmed, Split: split})
+		b := NewClusterBuilder(tbl, sorted, ClusterConfig{Confirmed: confirmed, Split: split})
 		groups := b.Build(nil, nil).Groups(1)
 		groupOf := map[dataset.TupleID]int{}
 		for gi, g := range groups {

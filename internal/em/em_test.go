@@ -2,6 +2,7 @@ package em
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,19 @@ func TestMatcherSingleClassKeepsHeuristic(t *testing.T) {
 	}
 }
 
+// mergeList keeps the candidates whose probability clears threshold,
+// sorted by MergeBefore, as a session's auto-merge list is.
+func mergeList(cands []Pair, prob func(Pair) float64, threshold float64) []ScoredPair {
+	var list []ScoredPair
+	for _, p := range cands {
+		if pr := prob(p); pr >= threshold {
+			list = append(list, ScoredPair{Pair: p, Prob: pr})
+		}
+	}
+	sort.Slice(list, func(i, j int) bool { return MergeBefore(list[i], list[j]) })
+	return list
+}
+
 func TestBuildClusters(t *testing.T) {
 	tbl := pubsTable(t)
 	probs := map[Pair]float64{
@@ -195,7 +209,7 @@ func TestBuildClusters(t *testing.T) {
 	for p := range probs {
 		cands = append(cands, p)
 	}
-	c := BuildClusters(tbl, cands, func(p Pair) float64 { return probs[p] }, ClusterConfig{Threshold: 0.5})
+	c := BuildClustersSorted(tbl, mergeList(cands, func(p Pair) float64 { return probs[p] }, 0.5), ClusterConfig{})
 	if !c.Same(tbl.ID(0), tbl.ID(2)) {
 		t.Fatal("transitive merge missing")
 	}
@@ -219,9 +233,8 @@ func TestBuildClustersConstraints(t *testing.T) {
 	high := func(Pair) float64 { return 0.99 }
 
 	// Split(0,2) must prevent the transitive merge of all three.
-	c := BuildClusters(tbl, cands, high, ClusterConfig{
-		Threshold: 0.5,
-		Split:     []Pair{MakePair(tbl.ID(0), tbl.ID(2))},
+	c := BuildClustersSorted(tbl, mergeList(cands, high, 0.5), ClusterConfig{
+		Split: []Pair{MakePair(tbl.ID(0), tbl.ID(2))},
 	})
 	if c.Same(tbl.ID(0), tbl.ID(2)) {
 		t.Fatal("cannot-link violated")
@@ -239,8 +252,7 @@ func TestBuildClustersConstraints(t *testing.T) {
 	}
 
 	// Confirmed edges merge even below threshold.
-	c2 := BuildClusters(tbl, nil, func(Pair) float64 { return 0 }, ClusterConfig{
-		Threshold: 0.5,
+	c2 := BuildClustersSorted(tbl, nil, ClusterConfig{
 		Confirmed: []Pair{p01},
 	})
 	if !c2.Same(tbl.ID(0), tbl.ID(1)) {
@@ -250,8 +262,7 @@ func TestBuildClustersConstraints(t *testing.T) {
 
 func TestClusterOf(t *testing.T) {
 	tbl := pubsTable(t)
-	c := BuildClusters(tbl, nil, func(Pair) float64 { return 0 }, ClusterConfig{
-		Threshold: 0.5,
+	c := BuildClustersSorted(tbl, nil, ClusterConfig{
 		Confirmed: []Pair{MakePair(tbl.ID(0), tbl.ID(1)), MakePair(tbl.ID(1), tbl.ID(2))},
 	})
 	got := c.ClusterOf(tbl.ID(2))

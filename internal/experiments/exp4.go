@@ -28,7 +28,7 @@ func Exp4Algorithms(maxExpansions int) []SelectionAlgo {
 			return cqgselect.GSS(g, k)
 		}},
 		{Name: "GSS+", Run: func(g *erg.Graph, k int) cqgselect.Result {
-			return cqgselect.GSSPlus(g, k, cqgselect.GSSPlusOptions{})
+			return cqgselect.GSSPlus(g, k)
 		}},
 		{Name: "B&B", Run: func(g *erg.Graph, k int) cqgselect.Result {
 			return cqgselect.BranchAndBound(g, k, cqgselect.BBOptions{MaxExpansions: maxExpansions})

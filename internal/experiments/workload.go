@@ -108,17 +108,9 @@ func (e *Env) Dataset(name string) *datagen.Dataset {
 	if d, ok := e.data[name]; ok {
 		return d
 	}
-	cfg := datagen.Config{Scale: e.Scale, Seed: e.Seed}
-	var d *datagen.Dataset
-	switch name {
-	case "D1":
-		d = datagen.D1(cfg)
-	case "D2":
-		d = datagen.D2(cfg)
-	case "D3":
-		d = datagen.D3(cfg)
-	default:
-		panic("experiments: unknown dataset " + name)
+	d, err := datagen.ByName(name, datagen.Config{Scale: e.Scale, Seed: e.Seed})
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
 	e.data[name] = d
 	return d

@@ -54,17 +54,9 @@ func (tc *TruthCache) Truth(dataset string, scale float64, seed int64) (*oracle.
 	if gt, ok := tc.m[key]; ok {
 		return gt, nil
 	}
-	cfg := datagen.Config{Scale: scale, Seed: seed}
-	var d *datagen.Dataset
-	switch dataset {
-	case "D1":
-		d = datagen.D1(cfg)
-	case "D2":
-		d = datagen.D2(cfg)
-	case "D3":
-		d = datagen.D3(cfg)
-	default:
-		return nil, fmt.Errorf("loadgen: unknown dataset %q", dataset)
+	d, err := datagen.ByName(dataset, datagen.Config{Scale: scale, Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 	tc.m[key] = d.Truth
 	return d.Truth, nil

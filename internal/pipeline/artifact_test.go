@@ -11,13 +11,16 @@ package pipeline
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"visclean/internal/artifact"
 	"visclean/internal/datagen"
 	"visclean/internal/oracle"
+	"visclean/internal/rf"
 	"visclean/internal/vql"
 )
 
@@ -201,4 +204,45 @@ func TestDeterminismArtifactCacheReplay(t *testing.T) {
 	off := restore(nil)
 	warm := restore(cache)
 	assertTracesEqual(t, "restored cache-off vs warm cache", off, warm)
+}
+
+// TestConfigSeedReachesForest opens three sessions over one table and
+// one cache. A second Seed-1 session adds no entry and has the first's
+// matching probabilities. A Seed-2 session trains its own bootstrap
+// forest: it adds exactly one entry, its emboot, and its probabilities
+// differ.
+func TestConfigSeedReachesForest(t *testing.T) {
+	d := datagen.D1(datagen.Config{Scale: 0.004, Seed: 1})
+	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
+	cache := artifact.New(0)
+	open := func(seed int64) *Session {
+		s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{Seed: seed, Artifacts: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	first := open(1)
+	n := cache.Stats().Entries
+	if again := open(1); cache.Stats().Entries != n || !slices.Equal(again.probs, first.probs) {
+		t.Fatalf("a second Seed-1 session added %d entries; same probabilities: %v",
+			cache.Stats().Entries-n, slices.Equal(again.probs, first.probs))
+	}
+	other := open(2)
+	if added := cache.Stats().Entries - n; added != 1 {
+		t.Fatalf("a Seed-2 session added %d entries, want its emboot alone", added)
+	}
+	forest := rf.DefaultConfig()
+	forest.Seed = 3 // Seed + 1
+	h, err := cache.Acquire(other.fingerprint, embootKey(forest, d.KeyColumns), func() (artifact.Artifact, error) {
+		return nil, errors.New("built")
+	})
+	if err != nil {
+		t.Fatalf("the Seed-2 emboot is not the added entry: %v", err)
+	}
+	h.Release()
+	if slices.Equal(other.probs, first.probs) {
+		t.Fatal("Seed-1 and Seed-2 sessions over one table have the same probabilities")
+	}
 }

@@ -7,8 +7,8 @@ package pipeline
 //	emboot   — blocking candidates, their feature vectors, the distant-
 //	           supervision seed labels, the first trained forest and the
 //	           post-train probabilities (the dominant NewSession cost).
-//	           Keyed by the RF config and blocking keys; RF.Workers is
-//	           excluded because training is worker-invariant.
+//	           Keyed by the forest config and blocking keys; its
+//	           Workers is excluded because training is worker-invariant.
 //	std      — one frozen, approval-free goldenrec.Standardizer per
 //	           A-column. Sessions Clone() it instead of re-scanning the
 //	           column's distinct values on every model refresh.
@@ -148,7 +148,7 @@ func embootKey(cfg rf.Config, keyColumns []int) string {
 // acquireBootstrap returns the session's bootstrap artifact, shared or
 // privately built.
 func (s *Session) acquireBootstrap(keyColumns []int) *embootArtifact {
-	a, _ := s.acquire(embootKey(s.cfg.RF, keyColumns), func() (artifact.Artifact, error) {
+	a, _ := s.acquire(embootKey(s.forestConfig(), keyColumns), func() (artifact.Artifact, error) {
 		return s.buildBootstrap(keyColumns), nil
 	}) // the build cannot fail, so neither can acquire
 	return a.(*embootArtifact)
@@ -164,7 +164,7 @@ func (s *Session) buildBootstrap(keyColumns []int) *embootArtifact {
 	ph := startOpenPhases()
 	cands := em.Candidates(s.table, em.BlockingConfig{KeyColumns: keyColumns})
 	ph.done("blocking")
-	m := em.NewMatcher(s.table, s.cfg.RF)
+	m := em.NewMatcher(s.table, s.forestConfig())
 	feats := m.FeaturesOf(s.table, cands)
 	ph.done("features")
 	probs := make([]float64, len(cands))
@@ -202,21 +202,21 @@ const (
 // the heuristic's absolute scale shifts with the schema (a table with
 // many near-constant numeric columns floats every pair's score up).
 //
-// In the candidates' seedBefore order, the matches are the first
-// maxSeedPerClass with p ≥ seedMatchMin, first to last, and the
-// non-matches the last maxSeedPerClass with p ≤ seedNonMatchMax, last
-// to first. Two bounded buffers keep them without sorting every
-// candidate; candidates are distinct pairs, so seedBefore is a strict
+// In the candidates' merge-list order (em.MergeBefore), the matches are
+// the first maxSeedPerClass with p ≥ seedMatchMin, first to last, and
+// the non-matches the last maxSeedPerClass with p ≤ seedNonMatchMax,
+// last to first. Two bounded buffers keep them without sorting every
+// candidate; candidates are distinct pairs, so the order is a strict
 // total order and each buffer holds exactly that end of a full sort. A
 // NaN probability meets neither threshold.
 func seedLabels(cands []em.Pair, probs []float64) []seedLabel {
-	seedAfter := func(a, b em.ScoredPair) bool { return seedBefore(b, a) }
+	seedAfter := func(a, b em.ScoredPair) bool { return em.MergeBefore(b, a) }
 	var pos, neg []em.ScoredPair
 	for i, pr := range probs {
 		sp := em.ScoredPair{Pair: cands[i], Prob: pr}
 		switch {
 		case pr >= seedMatchMin:
-			pos = insertBounded(pos, sp, maxSeedPerClass, seedBefore)
+			pos = insertBounded(pos, sp, maxSeedPerClass, em.MergeBefore)
 		case pr <= seedNonMatchMax:
 			neg = insertBounded(neg, sp, maxSeedPerClass, seedAfter)
 		}
@@ -229,18 +229,6 @@ func seedLabels(cands []em.Pair, probs []float64) []seedLabel {
 		labels = append(labels, seedLabel{pair: sp.Pair, match: false})
 	}
 	return labels
-}
-
-// seedBefore orders seeding candidates: descending probability, then
-// ascending (A, B).
-func seedBefore(a, b em.ScoredPair) bool {
-	if a.Prob != b.Prob {
-		return a.Prob > b.Prob
-	}
-	if a.Pair.A != b.Pair.A {
-		return a.Pair.A < b.Pair.A
-	}
-	return a.Pair.B < b.Pair.B
 }
 
 // installBootstrap starts the session from its bootstrap artifact, then

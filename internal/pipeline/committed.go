@@ -30,7 +30,7 @@ type committedRel struct {
 
 // committedView is one view over the committed rows: the incremental
 // executor registered over them, the view's chart, which is that
-// executor's base, and the chart's distance baseline under Config.Dist.
+// executor's base, and the chart's distance.Default baseline.
 // The delta pricer evaluates every hypothesis through exec and prices
 // it against base.
 type committedView struct {
@@ -103,7 +103,7 @@ func (s *Session) relViews() ([]committedView, error) {
 			return nil, err
 		}
 		chart := exec.Base()
-		views[v] = committedView{exec: exec, chart: chart, base: distance.NewBaseline(s.cfg.Dist, chart)}
+		views[v] = committedView{exec: exec, chart: chart, base: distance.NewBaseline(chart)}
 	}
 	r.views = views
 	return views, nil
@@ -152,5 +152,5 @@ func (s *Session) DistToTruth() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.cfg.Dist(cur, s.cfg.TruthVis), nil
+	return distance.Default(cur, s.cfg.TruthVis), nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"visclean/internal/dataset"
+	"visclean/internal/distance"
 	"visclean/internal/oracle"
 	"visclean/internal/vis"
 	"visclean/internal/vql"
@@ -70,7 +71,7 @@ func assertCommittedFresh(t *testing.T, s *Session, when string) {
 	if err != nil {
 		t.Fatalf("%s: DistToTruth: %v", when, err)
 	}
-	if wantDist := s.cfg.Dist(primary, s.cfg.TruthVis); math.Float64bits(dist) != math.Float64bits(wantDist) {
+	if wantDist := distance.Default(primary, s.cfg.TruthVis); math.Float64bits(dist) != math.Float64bits(wantDist) {
 		t.Fatalf("%s: DistToTruth %v, want %v", when, dist, wantDist)
 	}
 }

@@ -144,7 +144,6 @@ func (s *Session) newDeltaPricer() (*deltaPricer, error) {
 	}
 
 	p.builder = em.NewClusterBuilder(s.table, s.mergeList, em.ClusterConfig{
-		Threshold: s.cfg.ClusterThreshold,
 		Confirmed: s.confirmed,
 		Split:     s.split,
 	})
@@ -365,15 +364,9 @@ func (p *deltaPricer) eval(dissolved []int, regrouped [][]dataset.TupleID, retou
 		}
 	}
 	sort.Slice(added, func(a, b int) bool { return added[a].Rank < added[b].Rank })
-	// The views' sum, in registration order from the first term: a sum
-	// started at 0.0 would turn a one-view −0 distance into +0.
-	var total float64
-	for v, cv := range p.views {
-		if d := cv.base.Distance(cv.exec.Eval(ranks, added)); v == 0 {
-			total = d
-		} else {
-			total += d
-		}
+	total := 0.0 // the views' sum, in registration order
+	for _, cv := range p.views {
+		total += cv.base.Distance(cv.exec.Eval(ranks, added))
 	}
 	return total
 }

@@ -187,7 +187,7 @@ func (d *detectDelta) sync(ix *knn.Index) {
 	}
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
-	k := d.s.cfg.ImputeK
+	k := imputeK
 	for id, ns := range d.neigh {
 		row, ok := d.s.table.RowIndex(id)
 		if !ok {
@@ -217,15 +217,15 @@ func (d *detectDelta) eligAccept(i int) bool {
 
 // suggestForK serves one kNN repair suggestion over a neighbourhood of
 // k, from the cache when a valid list exists. Sizes other than the
-// session's ImputeK bypass the cache (they occur only on degenerate
-// tables where the outlier detector clamps k below ImputeK).
+// session's imputeK bypass the cache (they occur only on degenerate
+// tables where the outlier detector clamps k below imputeK).
 func (d *detectDelta) suggestForK(id dataset.TupleID, k int) (impute.Suggestion, bool) {
 	row, ok := d.s.table.RowIndex(id)
 	if !ok {
 		return impute.Suggestion{}, false
 	}
 	var ns []knn.Neighbor
-	if k != d.s.cfg.ImputeK {
+	if k != imputeK {
 		ns = d.s.knnIdx().Nearest(row, k, d.eligAccept)
 		d.s.lastDetect.fallbacks++
 	} else if cached, ok := d.neigh[id]; ok {

@@ -156,7 +156,7 @@ func TestDetectQuestionsPure(t *testing.T) {
 	// Mark every current detection as already answered: under the old
 	// code any of them scoring past the re-ask gate was deleted from the
 	// map during detect.
-	for _, d := range outlier.Scores(s.table, s.yCol, s.cfg.ImputeK) {
+	for _, d := range outlier.Scores(s.table, s.yCol, imputeK) {
 		s.answeredO[d.ID] = struct{}{}
 	}
 	before := make(map[dataset.TupleID]struct{}, len(s.answeredO))
@@ -324,7 +324,7 @@ func TestAMergeChangesImputationNeighbors(t *testing.T) {
 	for _, v := range []string{v1, v2} {
 		r := rowsOf[v][0]
 		preTok[v] = ix.Tokens(r)
-		preNear[v] = fmt.Sprint(ix.Nearest(r, s.cfg.ImputeK, accept))
+		preNear[v] = fmt.Sprint(ix.Nearest(r, imputeK, accept))
 	}
 
 	s.applyA("Venue", v1, v2, true)
@@ -360,7 +360,7 @@ func TestAMergeChangesImputationNeighbors(t *testing.T) {
 	if reflect.DeepEqual(preTok[moved], ix.Tokens(r)) {
 		t.Errorf("row %d (%q → %q) kept its pre-merge token set", r, moved, can)
 	}
-	if post := fmt.Sprint(ix.Nearest(r, s.cfg.ImputeK, accept)); post == preNear[moved] {
+	if post := fmt.Sprint(ix.Nearest(r, imputeK, accept)); post == preNear[moved] {
 		t.Errorf("row %d neighbour list unchanged by the A-merge:\n%s", r, post)
 	}
 }

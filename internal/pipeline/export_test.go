@@ -11,6 +11,7 @@ import (
 
 	"visclean/internal/benefit"
 	"visclean/internal/dataset"
+	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/erg"
 	"visclean/internal/goldenrec"
@@ -80,18 +81,12 @@ func PriceEveryHypothesis(s *Session) (PriceCounts, error) {
 
 // fullPrice is the reference price of one hypothesis: the per-view
 // distances of the fully rebuilt hypothetical charts, summed in
-// registration order from the first term.
+// registration order.
 func fullPrice(s *Session, h benefit.Hypothesis, bases []*vis.Data) float64 {
-	total, summed := 0.0, false
+	total := 0.0
 	for v, d := range s.hypotheticalVis(h) {
-		if d == nil {
-			continue
-		}
-		dist := s.cfg.Dist(bases[v], d)
-		if summed {
-			total += dist
-		} else {
-			total, summed = dist, true
+		if d != nil {
+			total += distance.Default(bases[v], d)
 		}
 	}
 	return total
@@ -161,7 +156,6 @@ func (s *Session) hypotheticalState(h benefit.Hypothesis) (cl *em.Clusters, std 
 // user constraints plus extra hypothetical ones, from scratch.
 func (s *Session) hypotheticalClusters(extraConfirm, extraSplit []em.Pair) *em.Clusters {
 	return em.BuildClustersSorted(s.table, s.mergeList, em.ClusterConfig{
-		Threshold: s.cfg.ClusterThreshold,
 		Confirmed: append(slices.Clone(s.confirmed), extraConfirm...),
 		Split:     append(slices.Clone(s.split), extraSplit...),
 	})

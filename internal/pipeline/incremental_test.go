@@ -18,9 +18,6 @@ import (
 	"testing"
 
 	"visclean/internal/benefit"
-	"visclean/internal/datagen"
-	"visclean/internal/vis"
-	"visclean/internal/vql"
 )
 
 // checkPricingAlongSession runs a seeded session for up to four
@@ -68,35 +65,6 @@ func TestIncrementalFullSessionEquivalence(t *testing.T) {
 // selector's.
 func TestIncrementalSingleBaseline(t *testing.T) {
 	checkPricingAlongSession(t, SelectSingle, 7)
-}
-
-// TestPricerKeepsNegativeZero pins where the per-view sum starts: at the
-// first term. In a one-view session whose distance is −0, an M or O
-// repair's benefit is exactly −0 through deltaPricer.eval; a sum started
-// at 0.0 would turn it into +0.
-func TestPricerKeepsNegativeZero(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	d := datagen.D1(datagen.Config{Scale: 0.004, Seed: 7})
-	q := vql.MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM D1 TRANSFORM GROUP BY Venue SORT Y BY DESC LIMIT 10`)
-	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{
-		Seed: 7, Workers: 1,
-		Dist: func(a, b *vis.Data) float64 { return negZero },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.freezeShared()
-	est, err := s.newEstimator(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := s.table.ID(0)
-	for name, got := range map[string]float64{"M": est.MBenefit(id, 1), "O": est.OBenefit(id, 2)} {
-		if math.Float64bits(got) != math.Float64bits(negZero) {
-			t.Errorf("one-view %s benefit = %v (bits %016x), want -0 (bits %016x)",
-				name, got, math.Float64bits(got), math.Float64bits(negZero))
-		}
-	}
 }
 
 // TestPricerInapplicablePricesZero: a repair of an unknown tuple and an

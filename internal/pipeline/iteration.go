@@ -10,6 +10,7 @@ import (
 	"visclean/internal/benefit"
 	"visclean/internal/cqgselect"
 	"visclean/internal/dataset"
+	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/erg"
 	"visclean/internal/goldenrec"
@@ -102,11 +103,11 @@ func (s *Session) RunIterationCtx(ctx context.Context, user User) (Report, error
 	start = time.Now()
 	rep.ViewDistMoved = make([]float64, len(s.queries))
 	for v := range s.queries {
-		rep.ViewDistMoved[v] = s.cfg.Dist(beforeAll[v], afterAll[v])
+		rep.ViewDistMoved[v] = distance.Default(beforeAll[v], afterAll[v])
 	}
 	rep.DistMoved = rep.ViewDistMoved[0]
 	if s.cfg.TruthVis != nil {
-		rep.DistToTruth = s.cfg.Dist(after, s.cfg.TruthVis)
+		rep.DistToTruth = distance.Default(after, s.cfg.TruthVis)
 	}
 	rep.Timings.Distance = time.Since(start)
 	s.iter++
@@ -164,7 +165,7 @@ func (s *Session) questionsFrom(
 	// Q_T: uncertain candidate pairs (active learning, §IV) — pairs with
 	// probability close to 0.5. Uses the probability cache refreshed at
 	// the last retrain instead of re-running the forest.
-	qs.T = s.uncertainPairs(s.cfg.MaxT, 0.15, 0.9)
+	qs.T = s.uncertainPairs(maxT, 0.15, 0.9)
 
 	// Q_A: Algorithm 1 over the current clusters, per A-column.
 	// Singleton clusters participate too: Strategy 2's cross-cluster
@@ -175,8 +176,8 @@ func (s *Session) questionsFrom(
 	for _, c := range s.aColumns {
 		name := schema[c].Name
 		st := s.std[name]
-		for _, cand := range aCands(groups, c, s.cfg.SimJoinThreshold) {
-			if len(qs.A) >= s.cfg.MaxA {
+		for _, cand := range aCands(groups, c, simJoinThreshold) {
+			if len(qs.A) >= maxA {
 				break
 			}
 			if _, done := s.answeredA[makeAKey(name, cand.V1, cand.V2)]; done {
@@ -198,13 +199,13 @@ func (s *Session) questionsFrom(
 	// Q_M: kNN imputation suggestions for missing measure cells. The
 	// token index is shared with the outlier repairer below.
 	for _, id := range s.table.MissingIDs(s.yCol) {
-		if len(qs.M) >= s.cfg.MaxM {
+		if len(qs.M) >= maxM {
 			break
 		}
 		if _, done := s.answeredM[id]; done {
 			continue
 		}
-		if sug, ok := suggest(id, s.cfg.ImputeK); ok {
+		if sug, ok := suggest(id, imputeK); ok {
 			qs.M = append(qs.M, sug)
 		}
 	}
@@ -212,15 +213,15 @@ func (s *Session) questionsFrom(
 	// Q_O: top kNN outlier scores. The anomaly gate's median is taken
 	// over the full score distribution; repairs are computed lazily for
 	// the detections actually emitted. The outlier detector clamps its k
-	// below ImputeK on degenerate tables — mirror that clamp so the
+	// below imputeK on degenerate tables — mirror that clamp so the
 	// suggested repairs match outlier.DetectWithIndex exactly.
-	dets := outlier.Scores(s.table, s.yCol, s.cfg.ImputeK)
+	dets := outlier.Scores(s.table, s.yCol, imputeK)
 	med := medianScore(dets)
-	kRep := s.cfg.ImputeK
+	kRep := imputeK
 	if len(dets) > 0 && kRep >= len(dets) {
 		kRep = len(dets) - 1
 	}
-	qs.O = pickOQuestions(dets, med, s.answeredO, s.cfg.MaxO, func(id dataset.TupleID) (impute.Suggestion, bool) {
+	qs.O = pickOQuestions(dets, med, s.answeredO, maxO, func(id dataset.TupleID) (impute.Suggestion, bool) {
 		return suggest(id, kRep)
 	})
 	return qs
@@ -522,33 +523,21 @@ func (s *Session) connectIsolated(g *erg.Graph, qs questionSet) {
 }
 
 // attachAQuestion decorates an edge with the A-question implied by its
-// endpoints: the first A-column on which both tuples carry differing,
-// not-yet-standardized, not-yet-asked values. The approval probability
-// is the values' token similarity.
+// endpoints: the first of their A-column differences (tPairChanges, in
+// endpoint order) that is neither answered nor already one class. The
+// approval probability is the values' token similarity.
 func (s *Session) attachAQuestion(e *erg.Edge) {
-	schema := s.table.Schema()
-	for _, c := range s.aColumns {
-		va, okA := s.table.GetByID(e.A, c)
-		vb, okB := s.table.GetByID(e.B, c)
-		if !okA || !okB {
+	for _, ch := range s.tPairChanges(em.Pair{A: e.A, B: e.B}) {
+		if _, done := s.answeredA[makeAKey(ch.name, ch.v1, ch.v2)]; done {
 			continue
 		}
-		ta, okA := va.Text()
-		tb, okB := vb.Text()
-		if !okA || !okB || ta == tb {
-			continue
-		}
-		name := schema[c].Name
-		if _, done := s.answeredA[makeAKey(name, ta, tb)]; done {
-			continue
-		}
-		if st := s.std[name]; st != nil && st.SameClass(ta, tb) {
+		if st := s.std[ch.name]; st != nil && st.SameClass(ch.v1, ch.v2) {
 			continue
 		}
 		e.HasA = true
-		e.PA = stringsim.Jaccard(ta, tb)
-		e.ACol = name
-		e.AV1, e.AV2 = ta, tb
+		e.PA = stringsim.Jaccard(ch.v1, ch.v2)
+		e.ACol = ch.name
+		e.AV1, e.AV2 = ch.v1, ch.v2
 		return
 	}
 }
@@ -645,11 +634,11 @@ func (s *Session) runCompositeIteration(ctx context.Context, user User, qs quest
 	var res cqgselect.Result
 	switch s.cfg.Selector {
 	case SelectGSSPlus:
-		res = cqgselect.GSSPlus(g, s.cfg.K, cqgselect.GSSPlusOptions{})
+		res = cqgselect.GSSPlus(g, s.cfg.K)
 	case SelectBB:
-		res = cqgselect.BranchAndBound(g, s.cfg.K, cqgselect.BBOptions{MaxExpansions: s.cfg.BBMaxExpansions})
+		res = cqgselect.BranchAndBound(g, s.cfg.K, cqgselect.BBOptions{MaxExpansions: bbMaxExpansions})
 	case SelectAlphaBB:
-		res = cqgselect.AlphaBB(g, s.cfg.K, s.cfg.Alpha, s.cfg.BBMaxExpansions)
+		res = cqgselect.AlphaBB(g, s.cfg.K, alpha, bbMaxExpansions)
 	case SelectRandom:
 		res = cqgselect.Random(g, s.cfg.K, rand.New(rand.NewSource(s.cfg.Seed+int64(s.iter)*977)))
 	default:
@@ -768,19 +757,8 @@ func (s *Session) applyT(p em.Pair, match bool) {
 		return
 	}
 	s.confirmed = append(s.confirmed, p)
-	schema := s.table.Schema()
-	for _, c := range s.aColumns {
-		va, okA := s.table.GetByID(p.A, c)
-		vb, okB := s.table.GetByID(p.B, c)
-		if !okA || !okB {
-			continue
-		}
-		ta, okA := va.Text()
-		tb, okB := vb.Text()
-		if !okA || !okB || ta == tb {
-			continue
-		}
-		s.aApproved = append(s.aApproved, makeAKey(schema[c].Name, ta, tb))
+	for _, ch := range s.tPairChanges(p) {
+		s.aApproved = append(s.aApproved, makeAKey(ch.name, ch.v1, ch.v2))
 	}
 }
 

@@ -147,14 +147,14 @@ func TestKnnBaseSharedAcrossSessions(t *testing.T) {
 		if !moved {
 			t.Fatalf("session %d: approving %q left both canonical forms as they were", i, pairs[i])
 		}
-		sameNeighbours(t, "session "+pairs[i][0], s.knnIdx(), knn.NewIndexCanon(s.table, s.yCol, s.knnCanon), s.cfg.ImputeK, accept)
+		sameNeighbours(t, "session "+pairs[i][0], s.knnIdx(), knn.NewIndexCanon(s.table, s.yCol, s.knnCanon), imputeK, accept)
 	}
 	fresh := knn.NewIndexCanon(d.Dirty, s0.yCol, renamed)
 	for i, ix := range bound {
 		if !strings.Contains(strings.Join(ix.Tokens(venueRows[0]), " "), "qqzx") {
 			t.Fatalf("bound index %d: row %d lacks the renamed token", i, venueRows[0])
 		}
-		sameNeighbours(t, "renamed", ix, fresh, s0.cfg.ImputeK, accept)
+		sameNeighbours(t, "renamed", ix, fresh, imputeK, accept)
 	}
 	if !reflect.DeepEqual(base, knn.NewBase(d.Dirty, s0.yCol)) {
 		t.Fatal("the shared knn.Base differs from a fresh build: a session wrote shared state")
@@ -239,7 +239,7 @@ func checkPairState(t *testing.T, s *Session, iter int) {
 		}
 	}
 	sort.Slice(all, func(a, b int) bool { return moreUncertain(all[a], all[b]) })
-	for _, n := range []int{s.cfg.MaxT, 1, 0} {
+	for _, n := range []int{maxT, 1, 0} {
 		want := all
 		if n > 0 && len(want) > n {
 			want = want[:n]

@@ -15,7 +15,6 @@ import (
 
 	"visclean/internal/artifact"
 	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/em"
 	"visclean/internal/goldenrec"
 	"visclean/internal/impute"
@@ -70,8 +69,12 @@ func (s SelectorKind) String() string {
 	}
 }
 
-// Config parameterizes a cleaning session. Zero values select the
-// paper's defaults where one exists.
+// Config parameterizes a cleaning session; a zero K selects the paper's
+// 10. The paper fixes its other operating parameters for the whole
+// evaluation (§VII), so they are not fields: every distance is
+// distance.Default, the forest is rf.DefaultConfig (see forestConfig),
+// and α, the B&B budget, the thresholds, the kNN k and the question
+// caps are the constants below.
 type Config struct {
 	// Queries registers additional concurrent views beyond the primary
 	// query passed to NewSession: the session then serves N dashboard
@@ -87,30 +90,6 @@ type Config struct {
 	K int
 	// Selector picks the CQG selection algorithm (default GSS).
 	Selector SelectorKind
-	// Alpha is the approximation ratio for SelectAlphaBB (default 5).
-	Alpha float64
-	// BBMaxExpansions bounds B&B search work per iteration (default 2e5).
-	BBMaxExpansions int
-
-	// Dist is the visualization distance. The default is
-	// distance.Default: label-aligned EMD (positional for binned axes,
-	// total variation for categorical ones). distance.EMD is the
-	// paper's literal Eq. (1)–(4) — see DESIGN.md for why it is not the
-	// default.
-	Dist distance.Func
-
-	// RF configures the entity-matching forest.
-	RF rf.Config
-	// ClusterThreshold is the auto-merge probability (default 0.5).
-	ClusterThreshold float64
-	// SimJoinThreshold is Algorithm 1's λ (default 0.4).
-	SimJoinThreshold float64
-	// ImputeK is the kNN neighbourhood (default 5, §IV).
-	ImputeK int
-
-	// Question caps bound per-iteration ERG size (and benefit-model
-	// work). Defaults: 40 T, 30 A, 15 M, 15 O.
-	MaxT, MaxA, MaxM, MaxO int
 
 	// Seed drives every stochastic component.
 	Seed int64
@@ -146,70 +125,39 @@ type Config struct {
 	TruthVis *vis.Data
 }
 
+// The session's fixed operating parameters (§VII).
+const (
+	// alpha is SelectAlphaBB's approximation ratio.
+	alpha = 5
+	// bbMaxExpansions bounds B&B search work per iteration.
+	bbMaxExpansions = 200000
+	// clusterThreshold is the auto-merge probability.
+	clusterThreshold = 0.5
+	// simJoinThreshold is Algorithm 1's λ.
+	simJoinThreshold = 0.4
+	// imputeK is the kNN neighbourhood (§IV).
+	imputeK = impute.DefaultK
+	// maxT, maxA, maxM and maxO cap the questions of each kind per
+	// iteration, bounding ERG size and benefit-model work.
+	maxT, maxA, maxM, maxO = 40, 30, 15, 15
+)
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.K == 0 {
 		out.K = 10
 	}
-	if out.Alpha == 0 {
-		out.Alpha = 5
-	}
-	if out.BBMaxExpansions == 0 {
-		out.BBMaxExpansions = 200000
-	}
-	if out.Dist == nil {
-		out.Dist = distance.Default
-	}
-	if out.RF.NumTrees == 0 {
-		seed := out.RF.Seed
-		out.RF = rf.DefaultConfig()
-		out.RF.Seed = seed
-	}
-	// Zero-valued RF hyperparameters inherit the defaults even when the
-	// caller customized others (rf.Train rejects zero depth/leaf).
-	def := rf.DefaultConfig()
-	if out.RF.MaxDepth == 0 {
-		out.RF.MaxDepth = def.MaxDepth
-	}
-	if out.RF.MinLeaf == 0 {
-		out.RF.MinLeaf = def.MinLeaf
-	}
-	if out.RF.FeatureFrac == 0 {
-		out.RF.FeatureFrac = def.FeatureFrac
-	}
-	// The RF seed derives from Config.Seed whenever it is unset —
-	// including when the caller customized other RF knobs. Gating this
-	// on the whole RF config being defaulted (as an earlier version did)
-	// silently trained identical forests for differently-seeded
-	// sessions as soon as a caller touched RF.NumTrees.
-	if out.RF.Seed == 0 {
-		out.RF.Seed = c.Seed + 1
-	}
-	if out.RF.Workers == 0 {
-		out.RF.Workers = out.Workers
-	}
-	if out.ClusterThreshold == 0 {
-		out.ClusterThreshold = 0.5
-	}
-	if out.SimJoinThreshold == 0 {
-		out.SimJoinThreshold = 0.4
-	}
-	if out.ImputeK == 0 {
-		out.ImputeK = impute.DefaultK
-	}
-	if out.MaxT == 0 {
-		out.MaxT = 40
-	}
-	if out.MaxA == 0 {
-		out.MaxA = 30
-	}
-	if out.MaxM == 0 {
-		out.MaxM = 15
-	}
-	if out.MaxO == 0 {
-		out.MaxO = 15
-	}
 	return out
+}
+
+// forestConfig is the entity-matching forest every matcher of the
+// session trains, and the emboot artifact's key: rf.DefaultConfig
+// seeded by Config.Seed, fanned out over Config.Workers.
+func (s *Session) forestConfig() rf.Config {
+	cfg := rf.DefaultConfig()
+	cfg.Seed = s.cfg.Seed + 1
+	cfg.Workers = s.cfg.Workers
+	return cfg
 }
 
 // Session is one interactive cleaning run over one table and one query.
@@ -374,7 +322,7 @@ func NewSession(table *dataset.Table, query *vql.Query, keyColumns []int, cfg Co
 	}
 	s.rebuildStandardizers()
 
-	s.matcher = em.NewMatcher(s.table, cfg.RF)
+	s.matcher = em.NewMatcher(s.table, s.forestConfig())
 	s.installBootstrap(s.acquireBootstrap(keyColumns))
 	return s, nil
 }
@@ -433,29 +381,16 @@ func (s *Session) hysteresisMergeList() []em.ScoredPair {
 	if s.cfg.NoHysteresis {
 		margin = 0
 	}
-	th := s.cfg.ClusterThreshold
 	var list []em.ScoredPair
 	for i, pr := range s.probs {
-		keep := pr >= th+margin || (s.merged[i] && pr >= th-margin)
+		keep := pr >= clusterThreshold+margin || (s.merged[i] && pr >= clusterThreshold-margin)
 		s.merged[i] = keep
 		if keep {
 			list = append(list, em.ScoredPair{Pair: s.candidates[i], Prob: pr})
 		}
 	}
-	sortScored(list)
+	sort.Slice(list, func(i, j int) bool { return em.MergeBefore(list[i], list[j]) })
 	return list
-}
-
-func sortScored(list []em.ScoredPair) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Prob != list[j].Prob {
-			return list[i].Prob > list[j].Prob
-		}
-		if list[i].Pair.A != list[j].Pair.A {
-			return list[i].Pair.A < list[j].Pair.A
-		}
-		return list[i].Pair.B < list[j].Pair.B
-	})
 }
 
 // markDirty records that a tuple's cells changed, invalidating the
@@ -550,7 +485,6 @@ func (s *Session) approveViolatesReject(st *goldenrec.Standardizer, ap aKey) boo
 // constraints.
 func (s *Session) buildClusters() *em.Clusters {
 	return em.BuildClustersSorted(s.table, s.mergeList, em.ClusterConfig{
-		Threshold: s.cfg.ClusterThreshold,
 		Confirmed: s.confirmed,
 		Split:     s.split,
 	})

@@ -6,7 +6,6 @@ import (
 	"visclean/internal/crowd"
 	"visclean/internal/datagen"
 	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/oracle"
 	"visclean/internal/vql"
 )
@@ -230,7 +229,7 @@ func TestQ7StylePredicateCleaning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{Seed: 8, TruthVis: truthVis, Dist: distance.EMD})
+	s, err := NewSession(d.Dirty, q, d.KeyColumns, Config{Seed: 8, TruthVis: truthVis})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"visclean/internal/artifact"
 	"visclean/internal/datagen"
 	"visclean/internal/dataset"
-	"visclean/internal/distance"
 	"visclean/internal/experiments"
 	"visclean/internal/oracle"
 	"visclean/internal/pipeline"
@@ -22,10 +21,10 @@ import (
 // The workloads cover every column-granular delta shape: GROUP and BIN
 // axes, WHERE predicates over A-columns and numeric columns, all three
 // datasets, and the multi-view dashboard priced as its per-view sum.
-// The warm cases open on an artifact cache that a first session, with
-// the default distance, has already filled, so their first iteration
-// prices through the shared pristine executors: the dashboard's three
-// GROUP and BIN views, and a session whose distance is not the default.
+// The warm cases open on an artifact cache that a first session has
+// already filled, so their first iteration prices through the shared
+// pristine executors: the dashboard's three GROUP and BIN views, and a
+// single view's.
 // The log line gives the counts per pricer path.
 func TestIncrementalPricingBitIdentical(t *testing.T) {
 	task := func(id string) string {
@@ -41,18 +40,17 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 		scale   float64
 		seed    int64
 		queries []string
-		dist    distance.Func // nil: the default
 		warm    bool
 	}{
 		// The Q1 rows keep the names they had when Q1 was the only case.
-		{"seed7", datagen.D1, 0.004, 7, []string{task("Q1")}, nil, false},
-		{"seed13", datagen.D1, 0.004, 13, []string{task("Q1")}, nil, false},
-		{"D1-Q7", datagen.D1, 0.01, 7, []string{task("Q7")}, nil, false},
-		{"D2-Q11", datagen.D2, 0.01, 7, []string{task("Q11")}, nil, false},
-		{"D3-Q15", datagen.D3, 0.01, 7, []string{task("Q15")}, nil, false},
-		{"D1-dashboard", datagen.D1, 0.01, 7, experiments.MultiViewViews(), nil, false},
-		{"D1-dashboard-warm", datagen.D1, 0.01, 7, experiments.MultiViewViews(), nil, true},
-		{"seed7-EMD-warm", datagen.D1, 0.004, 7, []string{task("Q1")}, distance.EMD, true},
+		{"seed7", datagen.D1, 0.004, 7, []string{task("Q1")}, false},
+		{"seed13", datagen.D1, 0.004, 13, []string{task("Q1")}, false},
+		{"D1-Q7", datagen.D1, 0.01, 7, []string{task("Q7")}, false},
+		{"D2-Q11", datagen.D2, 0.01, 7, []string{task("Q11")}, false},
+		{"D3-Q15", datagen.D3, 0.01, 7, []string{task("Q15")}, false},
+		{"D1-dashboard", datagen.D1, 0.01, 7, experiments.MultiViewViews(), false},
+		{"D1-dashboard-warm", datagen.D1, 0.01, 7, experiments.MultiViewViews(), true},
+		{"seed7-warm", datagen.D1, 0.004, 7, []string{task("Q1")}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -80,7 +78,6 @@ func TestIncrementalPricingBitIdentical(t *testing.T) {
 				open().Close()
 				filled = cfg.Artifacts.Stats().Entries
 			}
-			cfg.Dist = tc.dist
 			s := open()
 			defer s.Close()
 			if tc.warm {

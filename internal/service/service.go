@@ -63,7 +63,8 @@ var (
 type Spec struct {
 	// Dataset names a synthetic generator: D1, D2 or D3.
 	Dataset string `json:"dataset"`
-	// Scale is the generator's scale factor.
+	// Scale is the generator's scale factor, in (0, 1]; session
+	// construction refuses any other.
 	Scale float64 `json:"scale"`
 	// Seed drives every stochastic component of the session.
 	Seed int64 `json:"seed"`
@@ -164,17 +165,16 @@ func buildSession(spec Spec, cache *artifact.Cache) (*pipeline.Session, pipeline
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := datagen.Config{Scale: spec.Scale, Seed: spec.Seed}
-	var d *datagen.Dataset
-	switch spec.Dataset {
-	case "D1":
-		d = datagen.D1(cfg)
-	case "D2":
-		d = datagen.D2(cfg)
-	case "D3":
-		d = datagen.D3(cfg)
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q", spec.Dataset)
+	// A spec arrives from outside: create and import bodies, snapshot
+	// files. 1 is the paper's Table IV size; larger tables are
+	// cmd/datagen's job, and a scale at or below 0 would silently build
+	// a paper-scale table.
+	if !(spec.Scale > 0 && spec.Scale <= 1) {
+		return nil, nil, fmt.Errorf("scale %g outside (0, 1]", spec.Scale)
+	}
+	d, err := datagen.ByName(spec.Dataset, datagen.Config{Scale: spec.Scale, Seed: spec.Seed})
+	if err != nil {
+		return nil, nil, err
 	}
 	q, err := vql.Parse(spec.Query)
 	if err != nil {

@@ -240,6 +240,22 @@ func TestCreateOverridesSpec(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsScaleOutOfRange: a create body's scale must lie in
+// (0, 1]. The generator takes a negative scale as the paper's full size
+// and a large one as a table far past it; the default factory refuses
+// both before it generates anything.
+func TestCreateRejectsScaleOutOfRange(t *testing.T) {
+	mux, reg := testShell(t, false)
+	for _, body := range []string{`{"scale": -1}`, `{"scale": 2}`} {
+		if rec := doReq(t, mux, http.MethodPost, "/api/session", body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("create %s: status %d, want 400: %s", body, rec.Code, rec.Body.String())
+		}
+	}
+	if n := reg.Len(); n != 0 {
+		t.Fatalf("registry holds %d sessions after the refused creates", n)
+	}
+}
+
 func TestSessionCapacity(t *testing.T) {
 	reg := service.NewRegistry(service.Config{MaxSessions: 1, Workers: 1, Logf: t.Logf})
 	t.Cleanup(reg.Shutdown)

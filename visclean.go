@@ -95,8 +95,9 @@ func ParseQuery(src string) (*Query, error) { return vql.Parse(src) }
 // MustParseQuery parses a known-good VQL statement, panicking on error.
 func MustParseQuery(src string) *Query { return vql.MustParse(src) }
 
-// Visualization distances (§II-B). Dist is the pipeline default
-// (label-aligned EMD); EMD is the paper's literal Eq. (1)–(4).
+// Visualization distances (§II-B). Dist is the one every session
+// measures with (label-aligned EMD); EMD is the paper's literal
+// Eq. (1)–(4).
 var (
 	Dist = distance.Default
 	EMD  = distance.EMD
