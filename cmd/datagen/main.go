@@ -28,6 +28,11 @@ func main() {
 	out := flag.String("out", ".", "output directory")
 	flag.Parse()
 
+	// Checked before the loop, so the error is not worded as a name's.
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "datagen: -scale %g is not > 0\n", *scale)
+		os.Exit(2)
+	}
 	names := []string{*name}
 	if *name == "all" {
 		names = []string{"D1", "D2", "D3"}

@@ -44,6 +44,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Env.Dataset panics on a generator error, so a scale the generator
+	// refuses is caught here.
+	if !(*scale > 0) {
+		fmt.Fprintf(os.Stderr, "experiments: -scale %g is not > 0\n", *scale)
+		os.Exit(2)
+	}
 	if *metricsOut != "" {
 		obs.SetEnabled(true)
 	}

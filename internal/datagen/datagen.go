@@ -48,8 +48,13 @@ type Dataset struct {
 	MeasureColumns []string
 }
 
-// ByName generates the dataset named "D1", "D2" or "D3".
+// ByName generates the dataset named "D1", "D2" or "D3". A scale that
+// is not > 0 (NaN included) is an error: the generators themselves read
+// it as the paper's full size.
 func ByName(name string, cfg Config) (*Dataset, error) {
+	if !(cfg.Scale > 0) {
+		return nil, fmt.Errorf("scale %g is not > 0", cfg.Scale)
+	}
 	switch name {
 	case "D1":
 		return D1(cfg), nil

@@ -89,8 +89,8 @@ func TestGenerationDeterministic(t *testing.T) {
 	}
 }
 
-// TestByName: each name generates its own dataset, and an unknown name
-// is an error that names the valid ones.
+// TestByName: each name generates its own dataset, an unknown name is
+// an error that names the valid ones, and so is a scale that is not > 0.
 func TestByName(t *testing.T) {
 	cfg := Config{Scale: 0.005, Seed: 3}
 	for name, gen := range map[string]func(Config) *Dataset{"D1": D1, "D2": D2, "D3": D3} {
@@ -105,6 +105,11 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("D4", cfg); err == nil || !strings.Contains(err.Error(), "D1, D2 or D3") {
 		t.Fatalf("ByName(\"D4\") error = %v, want one naming D1, D2 or D3", err)
+	}
+	for _, scale := range []float64{-1, 0, math.NaN()} {
+		if d, err := ByName("D3", Config{Scale: scale, Seed: 3}); err == nil || !strings.Contains(err.Error(), "not > 0") {
+			t.Errorf("ByName(\"D3\", scale %v) = %v, %v; want a scale error", scale, d != nil, err)
+		}
 	}
 }
 

@@ -1,97 +1,139 @@
 package em
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"visclean/internal/datagen"
 	"visclean/internal/dataset"
 )
 
 // TestCandidateIndexMatchesScans verifies the inverted index against the
-// linear scans it replaces: for every (column, value pair) it returns
-// the first candidate in list order exhibiting those values, for every
-// tuple the positions of the candidates touching it, in list order, and
-// for every candidate its own position.
+// linear scans it replaces, on a hand-built table and on D1, D2 and D3 at
+// scale 0.01 (seeds 1–3) with their blocking candidates: for every tuple
+// the positions of the candidates touching it, in list order, and for
+// every candidate its own position; and, in every string column, for
+// the differing value pairs candidates show, for pairs no candidate
+// shows, for equal values and for values absent from the table, the
+// first candidate in list order whose endpoints carry the two values,
+// asked in either order.
 func TestCandidateIndexMatchesScans(t *testing.T) {
-	tbl := pubsTable(t)
-	cands := Candidates(tbl, BlockingConfig{KeyColumns: []int{0}})
+	pubs := pubsTable(t)
+	t.Run("pubs", func(t *testing.T) {
+		checkCandidateIndex(t, pubs, Candidates(pubs, BlockingConfig{KeyColumns: []int{0}}))
+	})
+	for _, g := range []struct {
+		name string
+		gen  func(datagen.Config) *datagen.Dataset
+	}{{"D1", datagen.D1}, {"D2", datagen.D2}, {"D3", datagen.D3}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			d := g.gen(datagen.Config{Scale: 0.01, Seed: seed})
+			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
+				checkCandidateIndex(t, d.Dirty, Candidates(d.Dirty, BlockingConfig{KeyColumns: d.KeyColumns}))
+			})
+		}
+	}
+}
+
+func checkCandidateIndex(t *testing.T, tbl *dataset.Table, cands []Pair) {
+	t.Helper()
 	if len(cands) == 0 {
 		t.Fatal("no blocking candidates")
 	}
-	cols := []int{1} // Venue
-	ix := NewCandidateIndex(tbl, cands, cols)
+	ix := NewCandidateIndex(tbl, cands)
 
-	// Incident lists: compare against a direct scan per endpoint.
-	seenIDs := map[dataset.TupleID]bool{}
-	for _, p := range cands {
-		seenIDs[p.A] = true
-		seenIDs[p.B] = true
+	// Incident lists and positions, against one scan of the list.
+	incident := map[dataset.TupleID][]int32{}
+	for i, p := range cands {
+		incident[p.A] = append(incident[p.A], int32(i))
+		incident[p.B] = append(incident[p.B], int32(i))
 	}
-	for id := range seenIDs {
-		var want []int32
-		for i, p := range cands {
-			if p.A == id || p.B == id {
-				want = append(want, int32(i))
-			}
-		}
-		got := ix.Incident(id)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Incident(%d) = %v, want %v", id, got, want)
+	var maxID dataset.TupleID
+	for r := 0; r < tbl.NumRows(); r++ {
+		id := tbl.ID(r)
+		maxID = max(maxID, id)
+		if got, want := ix.Incident(id), incident[id]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Incident(%d) = %v, want %v", id, got, want)
 		}
 	}
-	if got := ix.Incident(9999); got != nil {
-		t.Errorf("Incident on untouched tuple = %v", got)
+	for _, id := range []dataset.TupleID{-1, maxID + 1, maxID + 9999} {
+		if got := ix.Incident(id); got != nil {
+			t.Fatalf("Incident(%d) outside the table = %v", id, got)
+		}
 	}
 	for i, p := range cands {
 		if got, ok := ix.Find(p); !ok || got != i {
-			t.Errorf("Find(%v) = %d, %v; want %d", p, got, ok, i)
+			t.Fatalf("Find(%v) = %d, %v; want %d", p, got, ok, i)
 		}
 	}
-	if _, ok := ix.Find(MakePair(9998, 9999)); ok {
-		t.Error("Find on a non-candidate pair hit")
+	if _, ok := ix.Find(MakePair(maxID+1, maxID+2)); ok {
+		t.Fatal("Find on a non-candidate pair hit")
 	}
 
-	// Value-pair lookups: every differing value pair along a candidate
-	// resolves to the first such candidate; same-value and unknown pairs
-	// miss.
-	for _, p := range cands {
-		for _, c := range cols {
-			va, _ := tbl.GetByID(p.A, c)
-			vb, _ := tbl.GetByID(p.B, c)
-			ta, okA := va.Text()
-			tb, okB := vb.Text()
-			if !okA || !okB || ta == tb {
-				continue
-			}
-			got, ok := ix.PairForValues(c, ta, tb)
-			if !ok {
-				t.Fatalf("PairForValues(%d, %q, %q) missed", c, ta, tb)
-			}
-			// First in list order.
-			var want Pair
-			for _, q := range cands {
-				wa, _ := tbl.GetByID(q.A, c)
-				wb, _ := tbl.GetByID(q.B, c)
-				sa, _ := wa.Text()
-				sb, _ := wb.Text()
-				if (sa == ta && sb == tb) || (sa == tb && sb == ta) {
-					want = q
-					break
+	// Value pairs, per string column, against the first candidate in
+	// list order whose endpoints carry two differing values.
+	found, missed := 0, 0
+	for c, col := range tbl.Schema() {
+		if col.Kind != dataset.String {
+			continue
+		}
+		rowsOf := map[string][]int{}
+		var vals []string
+		for r := 0; r < tbl.NumRows(); r++ {
+			if txt, ok := tbl.Get(r, c).Text(); ok {
+				if _, seen := rowsOf[txt]; !seen {
+					vals = append(vals, txt)
 				}
-			}
-			if got != want {
-				t.Errorf("PairForValues(%d, %q, %q) = %v, want %v", c, ta, tb, got, want)
-			}
-			// Order-insensitive.
-			if rev, ok := ix.PairForValues(c, tb, ta); !ok || rev != got {
-				t.Errorf("PairForValues not symmetric for (%q, %q)", ta, tb)
+				rowsOf[txt] = append(rowsOf[txt], r)
 			}
 		}
+		text := func(id dataset.TupleID) (string, bool) {
+			v, ok := tbl.GetByID(id, c)
+			if !ok {
+				return "", false
+			}
+			return v.Text()
+		}
+		first := map[[2]string]Pair{}
+		for _, p := range cands {
+			a, okA := text(p.A)
+			b, okB := text(p.B)
+			if !okA || !okB || a == b {
+				continue
+			}
+			key := [2]string{min(a, b), max(a, b)}
+			if _, dup := first[key]; !dup {
+				first[key] = p
+			}
+		}
+		check := func(v1, v2 string) {
+			want, wantOK := first[[2]string{min(v1, v2), max(v1, v2)}]
+			got, ok := ix.PairForValues(c, v1, v2, rowsOf[v1], rowsOf[v2])
+			if ok != wantOK || got != want {
+				t.Fatalf("column %s: PairForValues(%q, %q) = %v, %v; want %v, %v", col.Name, v1, v2, got, ok, want, wantOK)
+			}
+			if ok {
+				found++
+			} else {
+				missed++
+			}
+		}
+		for key := range first {
+			check(key[0], key[1])
+			check(key[1], key[0])
+		}
+		for i := 0; i < len(vals) && i < 40; i++ {
+			for j := i; j < len(vals) && j < 40; j++ {
+				check(vals[i], vals[j])
+				check(vals[j], vals[i])
+			}
+			check(vals[i], "no-such value")
+			check("no-such value", vals[i])
+		}
+		check("no-such", "values")
 	}
-	if _, ok := ix.PairForValues(1, "SIGMOD", "SIGMOD"); ok {
-		t.Error("identical values resolved to a pair")
-	}
-	if _, ok := ix.PairForValues(1, "no-such", "values"); ok {
-		t.Error("unknown values resolved to a pair")
+	if found == 0 || missed == 0 {
+		t.Fatalf("value-pair lookups found %d and missed %d; the check needs both", found, missed)
 	}
 }

@@ -117,10 +117,12 @@ func checkNearest(t *testing.T, what string, tbl *dataset.Table, ix *Index, sets
 // FuzzNearest checks the id-set index against the string-set reference
 // on small tables with empty, null, duplicated and non-ASCII cells: every
 // row's Nearest for k ∈ {1, 5, rows}, compared by Row, ID and the bits
-// of Sim. It then approves a synonym (synonym is "from=to") through a
-// Canon and checks that ResetRows, on a private index and on one bound
-// to a Base, brings every row's tokens and neighbours to a fresh
-// NewIndexCanon's, while the Base stays as NewBase builds it.
+// of Sim. It queries a private index and one bound to a Base, which
+// builds their postings, then approves a synonym (synonym is "from=to")
+// through a Canon and checks that ResetRows brings every row's tokens
+// and neighbours on both to a fresh NewIndexCanon's, so postings left
+// stale by ResetRows would show, while the Base stays as NewBase builds
+// it.
 func FuzzNearest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string, nullY uint16, synonym string) {
 		tbl := fuzzTable(spec, nullY)
@@ -143,6 +145,9 @@ func FuzzNearest(f *testing.F) {
 		base := NewBase(tbl, skip)
 		private := NewIndexCanon(tbl, skip, canon)
 		bound := base.Bind(tbl, canon)
+		rawSets := refTokens(tbl, skip, nil)
+		checkNearest(t, "private", tbl, private, rawSets, accept)
+		checkNearest(t, "bound", tbl, bound, rawSets, accept)
 		approved = true
 		var rows []int
 		for r := 0; r < tbl.NumRows(); r++ {

@@ -9,11 +9,16 @@
 // cell text, which the pipeline pushes in through ResetRows).
 //
 // A row's token set is a sorted []int32 of ids from one
-// stringsim.Vocab, so scoring a row is a merge of two short id lists
-// (stringsim.JaccardIDs), which returns the very float64 a string-set
-// Jaccard returns. A Base is the raw tokenization frozen for sharing:
-// indexes bound to it share its id sets and vocabulary read-only and
-// number the tokens it lacks in a private extension of the vocabulary.
+// stringsim.Vocab. A bounded search walks the probe's token postings
+// (per token id, the rows holding it) to count each row's intersection
+// with the probe, and scores only the rows that share a token, dividing
+// the same two integers stringsim.JaccardIDs does, so a score is the
+// very float64 a string-set Jaccard returns; unbounded searches and
+// probes with no tokens score every row with JaccardIDs. A Base is the
+// raw tokenization frozen for sharing: indexes bound to it share its id
+// sets and vocabulary read-only and number the tokens it lacks in a
+// private extension of the vocabulary; each index builds its own
+// postings.
 //
 // This is reproduction infrastructure — the paper's kNN-based imputation
 // and repair (§III) do not specify an index; this one exists so the
@@ -24,6 +29,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"visclean/internal/dataset"
 	"visclean/internal/stringsim"
@@ -50,6 +56,39 @@ type Index struct {
 	// row's slice wholesale and never writes into one, so sets may be
 	// shared with a Base.
 	rows [][]int32
+	// post lists, per token id, the rows holding it. The first bounded
+	// Nearest since construction or the last ResetRows builds it
+	// through postOnce; it is this index's own, never a Base's.
+	postOnce *sync.Once
+	post     postings
+}
+
+// postings is a CSR inverted index over rows' token-id sets: the rows
+// holding token id t are rows[start[t]:start[t+1]], ascending.
+type postings struct {
+	start []int32
+	rows  []int32
+}
+
+func newPostings(sets [][]int32, vocab int) postings {
+	start := make([]int32, vocab+1)
+	for _, set := range sets {
+		for _, id := range set {
+			start[id+1]++
+		}
+	}
+	for t := 1; t <= vocab; t++ {
+		start[t] += start[t-1]
+	}
+	rows := make([]int32, start[vocab])
+	next := slices.Clone(start[:vocab])
+	for r, set := range sets {
+		for _, id := range set {
+			rows[next[id]] = int32(r)
+			next[id]++
+		}
+	}
+	return postings{start: start, rows: rows}
 }
 
 // NewIndex tokenizes every row of t, excluding skipCol (the measure
@@ -62,7 +101,7 @@ func NewIndex(t *dataset.Table, skipCol int) *Index {
 // NewIndexCanon is NewIndex with every cell routed through canon before
 // tokenization.
 func NewIndexCanon(t *dataset.Table, skipCol int, canon Canon) *Index {
-	ix := &Index{table: t, skipCol: skipCol, canon: canon, vocab: stringsim.NewVocab()}
+	ix := &Index{table: t, skipCol: skipCol, canon: canon, vocab: stringsim.NewVocab(), postOnce: new(sync.Once)}
 	ix.rows = ix.tokenizeAll()
 	return ix
 }
@@ -146,7 +185,8 @@ func (ix *Index) rowSet(row int) []int32 {
 }
 
 // ResetRows re-tokenizes the given rows against the table's (and canon's)
-// current state. The pipeline calls it when an approved attribute synonym
+// current state and drops the postings, which the next bounded Nearest
+// rebuilds. The pipeline calls it when an approved attribute synonym
 // changes the canonical form of a value those rows carry.
 func (ix *Index) ResetRows(rows []int) {
 	for _, r := range rows {
@@ -154,6 +194,7 @@ func (ix *Index) ResetRows(rows []int) {
 			ix.rows[r] = ix.rowSet(r)
 		}
 	}
+	ix.postOnce, ix.post = new(sync.Once), postings{}
 }
 
 // Table returns the indexed table.
@@ -217,10 +258,50 @@ func Insert(ns []Neighbor, nb Neighbor, k int) ([]Neighbor, bool) {
 // and any candidate rejected by accept (nil accepts all), ordered by
 // descending similarity with ascending tuple id as the tiebreak — the
 // deterministic ranking the imputer has always used. k ≤ 0 returns every
-// accepted row. Every accepted row is scored; a bounded buffer keeps the
-// k best, which the strict order makes exactly the first k of a full
-// sort.
+// accepted row.
+//
+// A bounded search (0 < k < rows) over a probe with tokens counts, from
+// the probe's postings, each row's intersection with it, and offers
+// every accepted row that shares a token to a bounded buffer (Insert)
+// at float64(inter)/float64(union), the division JaccardIDs ends with.
+// If fewer than k such rows exist, the accepted rows sharing no token
+// fill the rest at similarity 0, in ascending tuple id. The strict rank
+// order makes the buffer exactly the first k of a full sort. Unbounded
+// searches, and probes with no tokens (two empty sets score 1), score
+// every accepted row with JaccardIDs.
 func (ix *Index) Nearest(row, k int, accept func(row int) bool) []Neighbor {
+	probe := ix.rows[row]
+	if k <= 0 || k >= len(ix.rows) || len(probe) == 0 {
+		return ix.scan(row, k, accept)
+	}
+	ix.postOnce.Do(func() { ix.post = newPostings(ix.rows, ix.vocab.Len()) })
+	inter := make([]int32, len(ix.rows))
+	for _, id := range probe {
+		for _, r := range ix.post.rows[ix.post.start[id]:ix.post.start[id+1]] {
+			inter[r]++
+		}
+	}
+	ns := make([]Neighbor, 0, k+1)
+	for i, n := range inter {
+		if n == 0 || i == row || (accept != nil && !accept(i)) {
+			continue
+		}
+		sim := float64(n) / float64(len(probe)+len(ix.rows[i])-int(n))
+		ns, _ = Insert(ns, Neighbor{Row: i, ID: ix.table.ID(i), Sim: sim}, k)
+	}
+	if len(ns) < k {
+		// Rows sharing no token score 0; the probe is never one of them.
+		for i, n := range inter {
+			if n == 0 && (accept == nil || accept(i)) {
+				ns, _ = Insert(ns, Neighbor{Row: i, ID: ix.table.ID(i)}, k)
+			}
+		}
+	}
+	return ns
+}
+
+// scan is Nearest scoring every accepted row with JaccardIDs.
+func (ix *Index) scan(row, k int, accept func(row int) bool) []Neighbor {
 	probe := ix.rows[row]
 	bounded := k > 0 && k < len(ix.rows)
 	var ns []Neighbor
@@ -275,11 +356,12 @@ func NewBase(t *dataset.Table, skipCol int) *Base {
 // extension of it.
 func (b *Base) Bind(t *dataset.Table, canon Canon) *Index {
 	return &Index{
-		table:   t,
-		skipCol: b.skipCol,
-		canon:   canon,
-		vocab:   b.vocab.Extend(),
-		rows:    slices.Clone(b.rows),
+		table:    t,
+		skipCol:  b.skipCol,
+		canon:    canon,
+		vocab:    b.vocab.Extend(),
+		rows:     slices.Clone(b.rows),
+		postOnce: new(sync.Once),
 	}
 }
 

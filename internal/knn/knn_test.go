@@ -1,8 +1,11 @@
 package knn
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
+	"visclean/internal/datagen"
 	"visclean/internal/dataset"
 )
 
@@ -113,4 +116,38 @@ func TestInsertNeighbor(t *testing.T) {
 	if !ins || len(got) != 4 || got[3].ID != 4 {
 		t.Fatalf("unbounded append: %+v", got)
 	}
+}
+
+// TestNearestConcurrentFirstUse: bounded searches racing on a fresh
+// index, the first of which builds its postings, and again after a
+// ResetRows dropped them, return what the full scan returns. Under
+// -race it holds the lazy build to the index's contract: concurrent
+// Nearest calls are safe between mutations.
+func TestNearestConcurrentFirstUse(t *testing.T) {
+	tbl := datagen.D1(datagen.Config{Scale: 0.01, Seed: 1}).Dirty
+	y := tbl.ColumnIndex("Citations")
+	accept := func(i int) bool {
+		_, ok := tbl.Get(i, y).Float()
+		return ok
+	}
+	ix := NewIndex(tbl, y)
+	check := func(what string) {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := w; r < tbl.NumRows(); r += 4 {
+					if got, want := ix.Nearest(r, 5, accept), ix.scan(r, 5, accept); !slices.Equal(got, want) {
+						t.Errorf("%s: Nearest(%d, 5) = %+v, full scan %+v", what, r, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	check("fresh")
+	ix.ResetRows([]int{0, 1, 2})
+	check("after ResetRows")
 }

@@ -49,7 +49,9 @@ package pipeline
 // ERG scans — candidate-pair-by-values lookup and isolated-vertex
 // attachment iterate the full blocking candidate list per iteration;
 // both depend only on session-immutable data (candidate pairs and
-// attribute cells) and are answered from a static em.CandidateIndex.
+// attribute cells) and are answered from a static em.CandidateIndex,
+// the value lookup walking the candidates incident to the rows that
+// carry the rarer value (Session.valueRows).
 
 import (
 	"slices"
@@ -266,7 +268,7 @@ func (d *detectDelta) aCandidates(groups [][]dataset.TupleID, col int, threshold
 // candidateIndex lazily builds the static inverted candidate index.
 func (d *detectDelta) candidateIndex() *em.CandidateIndex {
 	if d.candIdx == nil {
-		d.candIdx = em.NewCandidateIndex(d.s.table, d.s.candidates, d.s.aColumns)
+		d.candIdx = em.NewCandidateIndex(d.s.table, d.s.candidates)
 	}
 	return d.candIdx
 }

@@ -361,9 +361,10 @@ func (s *Session) buildERG(qs questionSet) *erg.Graph {
 	// A-questions attach to tuple pairs exhibiting the two values. Prefer
 	// a blocking candidate pair (Definition 2.1 puts p^t and p^a on the
 	// same edge, which is also what lets GSS grow CQGs mixing both
-	// question kinds), looked up in the static candidate index
-	// (candidate pairs and attribute cells never change); fall back to
-	// representative tuples.
+	// question kinds), looked up in the static candidate index through
+	// the rows carrying each value (candidate pairs and attribute cells
+	// never change); fall back to representative tuples, the first row
+	// carrying each value.
 	cidx := s.detector().candidateIndex()
 	type aPlace struct {
 		q    aQuestion
@@ -373,12 +374,11 @@ func (s *Session) buildERG(qs questionSet) *erg.Graph {
 	var placed []aPlace
 	for _, q := range qs.A {
 		p := aPlace{q: q}
-		if cand, ok := cidx.PairForValues(q.col, q.v1, q.v2); ok {
+		rows1, rows2 := s.valueRows[q.col][q.v1], s.valueRows[q.col][q.v2]
+		if cand, ok := cidx.PairForValues(q.col, q.v1, q.v2, rows1, rows2); ok {
 			p.a, p.b, p.ok = cand.A, cand.B, true
-		} else {
-			a, okA := s.firstTupleWith(q.col, q.v1)
-			b, okB := s.firstTupleWith(q.col, q.v2)
-			if okA && okB && a != b {
+		} else if len(rows1) > 0 && len(rows2) > 0 {
+			if a, b := s.table.ID(rows1[0]), s.table.ID(rows2[0]); a != b {
 				p.a, p.b, p.ok = a, b, true
 			}
 		}
@@ -540,16 +540,6 @@ func (s *Session) attachAQuestion(e *erg.Edge) {
 		e.AV1, e.AV2 = ch.v1, ch.v2
 		return
 	}
-}
-
-// firstTupleWith finds the smallest tuple id whose column c equals v.
-func (s *Session) firstTupleWith(c int, v string) (dataset.TupleID, bool) {
-	for i := 0; i < s.table.NumRows(); i++ {
-		if txt, ok := s.table.Get(i, c).Text(); ok && txt == v {
-			return s.table.ID(i), true
-		}
-	}
-	return 0, false
 }
 
 func (s *Session) edgeShowsValues(e *erg.Edge, c int, v1, v2 string) bool {

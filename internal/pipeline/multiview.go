@@ -100,17 +100,13 @@ func (s *Session) applyAddView(q *vql.Query) error {
 	}
 	// New A-columns change what later model refreshes canonicalize:
 	// rebuild the synonym classes now (the new columns start with
-	// identity standardizers — no votes touch them yet), extend the kNN
-	// canonical snapshot if an index already exists (re-snapshotting an
-	// unchanged column records the same canonical forms, a no-op), and
-	// drop the incremental detector's candidate index so it rebuilds
-	// over the extended column set.
+	// identity standardizers — no votes touch them yet), and extend the
+	// kNN canonical snapshot and value→rows lists if an index already
+	// exists (re-snapshotting an unchanged column records the same
+	// canonical forms, a no-op).
 	s.rebuildStandardizers()
 	if s.knnIndex != nil {
 		s.snapshotCanon()
-	}
-	if s.detect != nil {
-		s.detect.candIdx = nil
 	}
 	return nil
 }

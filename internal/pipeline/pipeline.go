@@ -238,9 +238,10 @@ type Session struct {
 	// through the session's standardizers, so approved synonyms share
 	// tokens. canonSnap/valueRows track, per A-column, each distinct
 	// value's canonical form as of the last index maintenance and the
-	// rows carrying it: after a model refresh changes some canonical
-	// forms, exactly the affected rows are re-tokenized (see
-	// maintainKnnIndex).
+	// rows carrying it, ascending: after a model refresh changes some
+	// canonical forms, exactly the affected rows are re-tokenized (see
+	// maintainKnnIndex). The first detect builds them; ERG construction
+	// finds an A-question's tuples through valueRows too.
 	knnIndex  *knn.Index
 	canonSnap map[int]map[string]string
 	valueRows map[int]map[string][]int

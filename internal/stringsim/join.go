@@ -1,27 +1,36 @@
 package stringsim
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
-// Pair is one similarity-join result: indices into the two input slices
-// and the token-Jaccard similarity of the joined strings.
+// Pair is one self-join result: indices into the joined slice, I < J,
+// and the token-Jaccard similarity of the two strings.
 type Pair struct {
 	I, J int
 	Sim  float64
 }
 
-// Join finds all pairs (a[i], b[j]) with token-Jaccard similarity strictly
-// greater than threshold, using the prefix-filtering technique from the
-// string-similarity-join literature [16]: tokens are ordered by global
-// frequency (rare first), and two strings can only reach the threshold if
-// their rare-token prefixes share at least one token. Self-join callers
-// pass the same slice twice and drop i >= j pairs themselves.
+// SelfJoin finds all unordered pairs within vals whose token-Jaccard
+// similarity is strictly greater than threshold, using the
+// prefix-filtering technique from the string-similarity-join literature
+// [16]: each value's token-id set is ordered by global token frequency
+// (rare first, ties by id), and two sets can only reach the threshold
+// if their rare-token prefixes share at least one token. A value with
+// no tokens joins nothing.
+//
+// Each value's tokens are numbered once through one Vocab. Values are
+// visited in order; a value probes the prefix postings of the values
+// before it, so each pair is verified at most once, with JaccardIDs,
+// which returns the very float64 JaccardSets returns. Prefix filtering
+// loses no pair under any global token order, so the pair set is the
+// one an all-pairs scan finds.
 //
 // The result is sorted by descending similarity, ties broken by (I, J),
 // so downstream question generation is deterministic.
-func Join(a, b []string, threshold float64) []Pair {
+func SelfJoin(vals []string, threshold float64) []Pair {
 	if threshold < 0 {
 		threshold = 0
 	}
@@ -31,132 +40,69 @@ func Join(a, b []string, threshold float64) []Pair {
 		// below 1: only identical token sets (sim == 1) qualify.
 		threshold = math.Nextafter(1, 0)
 	}
-	tokensA, setsA := tokenize(a)
-	tokensB, setsB := tokenize(b)
-
-	// Global token frequency across both sides defines the canonical
-	// token order for prefix filtering.
-	freq := make(map[string]int)
-	for _, ts := range tokensA {
-		for _, t := range ts {
-			freq[t]++
+	vocab := NewVocab()
+	sets := make([][]int32, len(vals))
+	for i, s := range vals {
+		sets[i] = vocab.TokenIDs(s)
+	}
+	freq := make([]int32, vocab.Len())
+	for _, set := range sets {
+		for _, id := range set {
+			freq[id]++
 		}
 	}
-	for _, ts := range tokensB {
-		for _, t := range ts {
-			freq[t]++
+	rareFirst := func(a, b int32) int {
+		if c := cmp.Compare(freq[a], freq[b]); c != 0 {
+			return c
 		}
-	}
-	order := func(ts []string) {
-		sort.Slice(ts, func(x, y int) bool {
-			if freq[ts[x]] != freq[ts[y]] {
-				return freq[ts[x]] < freq[ts[y]]
-			}
-			return ts[x] < ts[y]
-		})
-	}
-	for _, ts := range tokensA {
-		order(ts)
-	}
-	for _, ts := range tokensB {
-		order(ts)
+		return cmp.Compare(a, b)
 	}
 
-	// Index side B by prefix tokens. For Jaccard threshold t, a string of
-	// length l needs overlap with any match in its first l - ceil(t*l) + 1
-	// tokens.
-	index := make(map[string][]int)
-	for j, ts := range tokensB {
-		for _, tok := range prefix(ts, threshold) {
-			index[tok] = append(index[tok], j)
-		}
-	}
-
-	// candidates is rebuilt per i and i never repeats, so (i, j) pairs
-	// are already unique — no cross-iteration dedup needed.
+	// index[t] lists the values, ascending, whose prefix holds token t;
+	// stamp[j] == i+1 marks j as already a candidate of value i.
+	index := make([][]int32, vocab.Len())
+	stamp := make([]int32, len(vals))
+	var ordered, cands []int32
 	var out []Pair
-	for i, ts := range tokensA {
-		candidates := make(map[int]struct{})
-		for _, tok := range prefix(ts, threshold) {
-			for _, j := range index[tok] {
-				candidates[j] = struct{}{}
+	for i, set := range sets {
+		ordered = append(ordered[:0], set...)
+		slices.SortFunc(ordered, rareFirst)
+		prefix := ordered[:prefixLen(len(ordered), threshold)]
+		cands = cands[:0]
+		for _, id := range prefix {
+			for _, j := range index[id] {
+				if stamp[j] != int32(i+1) {
+					stamp[j] = int32(i + 1)
+					cands = append(cands, j)
+				}
 			}
 		}
-		setA := setsA[i]
-		for j := range candidates {
-			sim := JaccardSets(setA, setsB[j])
-			if sim > threshold {
-				out = append(out, Pair{I: i, J: j, Sim: sim})
+		for _, j := range cands {
+			if sim := JaccardIDs(sets[j], set); sim > threshold {
+				out = append(out, Pair{I: int(j), J: i, Sim: sim})
 			}
+		}
+		for _, id := range prefix {
+			index[id] = append(index[id], int32(i))
 		}
 	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].Sim != out[y].Sim {
-			return out[x].Sim > out[y].Sim
+	slices.SortFunc(out, func(a, b Pair) int {
+		if c := cmp.Compare(b.Sim, a.Sim); c != 0 {
+			return c
 		}
-		if out[x].I != out[y].I {
-			return out[x].I < out[y].I
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
 		}
-		return out[x].J < out[y].J
+		return cmp.Compare(a.J, b.J)
 	})
 	return out
 }
 
-// SelfJoin finds all unordered pairs within vals whose token-Jaccard
-// similarity exceeds threshold.
-func SelfJoin(vals []string, threshold float64) []Pair {
-	all := Join(vals, vals, threshold)
-	out := all[:0]
-	for _, p := range all {
-		if p.I < p.J {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// tokenize returns each string's token list plus its token set. The set
-// is the one TokenSet already built — kept so the verification loop in
-// Join compares sets directly instead of rebuilding one per candidate
-// pair (the lists are reordered in place for prefix filtering; the sets
-// are order-free and unaffected).
-func tokenize(ss []string) ([][]string, []map[string]struct{}) {
-	out := make([][]string, len(ss))
-	sets := make([]map[string]struct{}, len(ss))
-	for i, s := range ss {
-		set := TokenSet(s)
-		ts := make([]string, 0, len(set))
-		for t := range set {
-			ts = append(ts, t)
-		}
-		out[i] = ts
-		sets[i] = set
-	}
-	return out, sets
-}
-
-// prefix returns the prefix-filter tokens of a frequency-ordered token
-// list for the given Jaccard threshold.
-func prefix(ts []string, threshold float64) []string {
-	l := len(ts)
-	if l == 0 {
-		return nil
-	}
-	need := l - int(ceilMul(threshold, l)) + 1
-	if need < 1 {
-		need = 1
-	}
-	if need > l {
-		need = l
-	}
-	return ts[:need]
-}
-
-func ceilMul(t float64, l int) float64 {
-	v := t * float64(l)
-	iv := float64(int(v))
-	if v > iv {
-		return iv + 1
-	}
-	return iv
+// prefixLen is the prefix-filter length of an l-token set for the
+// Jaccard threshold t: a set whose similarity with another exceeds t
+// shares a token with it among its first l − ceil(t·l) + 1 tokens in
+// any global order.
+func prefixLen(l int, t float64) int {
+	need := l - int(math.Ceil(t*float64(l))) + 1
+	return min(max(need, 1), l)
 }

@@ -1,34 +1,90 @@
 package stringsim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
+// refSelfJoin is the all-pairs join SelfJoin must equal: every pair
+// i < j of values that both have tokens and whose JaccardSets passes
+// SelfJoin's threshold rule (a threshold below 0 acts as 0, and at or
+// above 1 only identical token sets join), sorted by descending Sim,
+// then I, then J.
+func refSelfJoin(vals []string, threshold float64) []Pair {
+	joins := func(sim float64) bool {
+		switch {
+		case threshold < 0:
+			return sim > 0
+		case threshold >= 1:
+			return sim == 1
+		}
+		return sim > threshold
+	}
+	sets := make([]map[string]struct{}, len(vals))
+	for i, v := range vals {
+		sets[i] = TokenSet(v)
+	}
+	var out []Pair
+	for i := range vals {
+		for j := i + 1; j < len(vals); j++ {
+			if len(sets[i]) == 0 || len(sets[j]) == 0 {
+				continue
+			}
+			if sim := JaccardSets(sets[i], sets[j]); joins(sim) {
+				out = append(out, Pair{I: i, J: j, Sim: sim})
+			}
+		}
+	}
+	sort.Slice(out, func(x, y int) bool {
+		if out[x].Sim != out[y].Sim {
+			return out[x].Sim > out[y].Sim
+		}
+		if out[x].I != out[y].I {
+			return out[x].I < out[y].I
+		}
+		return out[x].J < out[y].J
+	})
+	return out
+}
+
+// checkSelfJoin holds SelfJoin to refSelfJoin: the same pairs in the
+// same order, Sim compared by its bits.
+func checkSelfJoin(t *testing.T, vals []string, threshold float64) {
+	t.Helper()
+	got, want := SelfJoin(vals, threshold), refSelfJoin(vals, threshold)
+	if len(got) != len(want) {
+		t.Fatalf("SelfJoin(%q, %v) found %d pairs, reference %d:\n%v\n%v", vals, threshold, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i].I != want[i].I || got[i].J != want[i].J || math.Float64bits(got[i].Sim) != math.Float64bits(want[i].Sim) {
+			t.Fatalf("SelfJoin(%q, %v)[%d] = %+v, reference %+v", vals, threshold, i, got[i], want[i])
+		}
+	}
+}
+
 func TestJoinFindsVenueSynonyms(t *testing.T) {
-	a := []string{"SIGMOD", "VLDB", "ICDE 2013"}
-	b := []string{"SIGMOD Conf.", "Very Large Data Bases", "ICDE"}
-	pairs := Join(a, b, 0.3)
+	vals := []string{"SIGMOD", "VLDB", "ICDE 2013", "SIGMOD Conf.", "Very Large Data Bases", "ICDE"}
 	found := map[[2]int]bool{}
-	for _, p := range pairs {
+	for _, p := range SelfJoin(vals, 0.3) {
 		found[[2]int{p.I, p.J}] = true
 	}
-	if !found[[2]int{0, 0}] {
+	if !found[[2]int{0, 3}] {
 		t.Error("SIGMOD ~ SIGMOD Conf. not found")
 	}
-	if !found[[2]int{2, 2}] {
+	if !found[[2]int{2, 5}] {
 		t.Error("ICDE 2013 ~ ICDE not found")
 	}
-	if found[[2]int{1, 1}] {
+	if found[[2]int{1, 4}] {
 		t.Error("VLDB should not match Very Large Data Bases at token level")
 	}
 }
 
 func TestJoinSortedByDescSim(t *testing.T) {
-	a := []string{"a b c", "a b", "a"}
-	pairs := Join(a, []string{"a b c"}, 0.1)
-	if !sort.SliceIsSorted(pairs, func(i, j int) bool {
+	pairs := SelfJoin([]string{"a b c", "a b", "a", "a b c"}, 0.1)
+	if len(pairs) != 6 || !sort.SliceIsSorted(pairs, func(i, j int) bool {
 		if pairs[i].Sim != pairs[j].Sim {
 			return pairs[i].Sim > pairs[j].Sim
 		}
@@ -37,7 +93,7 @@ func TestJoinSortedByDescSim(t *testing.T) {
 		}
 		return pairs[i].J < pairs[j].J
 	}) {
-		t.Fatalf("pairs not sorted: %v", pairs)
+		t.Fatalf("pairs not all found and sorted: %v", pairs)
 	}
 }
 
@@ -60,86 +116,65 @@ func TestSelfJoinNoSelfOrMirrorPairs(t *testing.T) {
 }
 
 func TestJoinNegativeThresholdClamped(t *testing.T) {
-	// Must not panic; behaves as threshold 0.
-	pairs := Join([]string{"a"}, []string{"a"}, -1)
-	if len(pairs) != 1 {
-		t.Fatalf("pairs = %v", pairs)
+	// Behaves as threshold 0: a shared token joins, none does not.
+	if pairs := SelfJoin([]string{"a", "a", "b"}, -1); len(pairs) != 1 || pairs[0] != (Pair{I: 0, J: 1, Sim: 1}) {
+		t.Fatalf("pairs = %v, want only the two equal values", pairs)
 	}
 }
 
 func TestJoinThresholdOneClamped(t *testing.T) {
 	// threshold >= 1 clamps to just below 1: identical token sets
 	// (sim == 1) still join, anything less does not.
-	pairs := Join([]string{"sigmod conf", "sigmod"}, []string{"conf sigmod", "vldb"}, 1)
-	if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 0 || pairs[0].Sim != 1 {
+	pairs := SelfJoin([]string{"sigmod conf", "sigmod", "conf sigmod", "vldb"}, 1)
+	if len(pairs) != 1 || pairs[0] != (Pair{I: 0, J: 2, Sim: 1}) {
 		t.Fatalf("pairs = %v, want exactly the identical-token-set pair", pairs)
 	}
-	if pairs := Join([]string{"a"}, []string{"a"}, 2); len(pairs) != 1 {
+	if pairs := SelfJoin([]string{"a", "a"}, 2); len(pairs) != 1 {
 		t.Fatalf("threshold 2 should clamp like 1, got %v", pairs)
 	}
 }
 
 func TestJoinEmptyInputs(t *testing.T) {
-	if p := Join(nil, []string{"x"}, 0.5); len(p) != 0 {
-		t.Fatal("empty left side should yield no pairs")
+	if p := SelfJoin(nil, 0.5); len(p) != 0 {
+		t.Fatalf("no values should yield no pairs, got %v", p)
 	}
-	if p := Join([]string{""}, []string{""}, 0.5); len(p) != 1 {
-		// Two empty token sets have Jaccard 1 > 0.5; but prefix filter has
-		// nothing to index. Accept either 0 or 1 results? No: we document
-		// that empty strings never join (no tokens to index on).
-		if len(p) != 0 {
-			t.Fatalf("unexpected pairs for empty strings: %v", p)
-		}
+	// Two empty token sets have Jaccard 1, but a value with no tokens
+	// has no prefix to index or probe, so it joins nothing.
+	if p := SelfJoin([]string{"", " ; ", "x"}, 0.5); len(p) != 0 {
+		t.Fatalf("values without tokens joined: %v", p)
 	}
 }
 
-// Property: prefix-filtered join is complete w.r.t. the brute-force join.
+// TestJoinMatchesBruteForce: the prefix-filtered self-join equals the
+// all-pairs reference on random value lists over a small vocabulary,
+// where token frequencies tie often.
 func TestJoinMatchesBruteForce(t *testing.T) {
 	words := []string{"sigmod", "vldb", "icde", "conf", "acm", "ieee", "proc", "13", "2013", "intl"}
 	rng := rand.New(rand.NewSource(42))
-	randStr := func() string {
-		n := 1 + rng.Intn(4)
-		s := ""
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				s += " "
+	for trial := 0; trial < 60; trial++ {
+		vals := make([]string, 1+rng.Intn(25))
+		for i := range vals {
+			toks := make([]string, rng.Intn(5))
+			for k := range toks {
+				toks[k] = words[rng.Intn(len(words))]
 			}
-			s += words[rng.Intn(len(words))]
+			vals[i] = strings.Join(toks, " ")
 		}
-		return s
+		checkSelfJoin(t, vals, []float64{-0.5, 0, 0.2, 0.5, 0.8, 1, 1.5}[rng.Intn(7)])
 	}
-	for trial := 0; trial < 30; trial++ {
-		na, nb := 1+rng.Intn(15), 1+rng.Intn(15)
-		a := make([]string, na)
-		b := make([]string, nb)
-		for i := range a {
-			a[i] = randStr()
-		}
-		for j := range b {
-			b[j] = randStr()
-		}
-		threshold := []float64{0.2, 0.5, 0.8}[rng.Intn(3)]
+}
 
-		want := map[[2]int]float64{}
-		for i := range a {
-			for j := range b {
-				if sim := Jaccard(a[i], b[j]); sim > threshold {
-					want[[2]int{i, j}] = sim
-				}
-			}
+// FuzzSelfJoin holds SelfJoin to the all-pairs JaccardSets reference on
+// fuzzed value lists (one value per line of spec, at most 32, so empty,
+// repeated, punctuation-only and invalid UTF-8 values occur) and
+// thresholds below 0, at 0, between 0 and 1, and at or above 1: the
+// same pairs in the same order, Sim compared by its bits.
+func FuzzSelfJoin(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, threshold float64) {
+		vals := strings.Split(spec, "\n")
+		if len(vals) > 32 {
+			vals = vals[:32]
 		}
-		got := map[[2]int]float64{}
-		for _, p := range Join(a, b, threshold) {
-			got[[2]int{p.I, p.J}] = p.Sim
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d threshold %v: join found %d pairs, brute force %d\na=%v\nb=%v",
-				trial, threshold, len(got), len(want), a, b)
-		}
-		for k, sim := range want {
-			if gs, ok := got[k]; !ok || !almostEq(gs, sim) {
-				t.Fatalf("trial %d: pair %v sim mismatch (got %v ok=%v, want %v)", trial, k, gs, ok, sim)
-			}
-		}
-	}
+		checkSelfJoin(t, vals, threshold)
+	})
 }

@@ -5,8 +5,9 @@
 //     prepared token ids), the kNN index and attribute-duplicate
 //     detection,
 //   - Jaro-Winkler, the entity-matching features' edit-based measure,
-//   - a prefix-filter string similarity join (Jiang et al. [16]) used by
-//     Algorithm 1 Strategy 2 to find cross-cluster synonym candidates.
+//   - a prefix-filter string similarity self-join over token ids
+//     (Jiang et al. [16]) used by Algorithm 1 Strategy 2 to find
+//     cross-cluster synonym candidates.
 package stringsim
 
 import (

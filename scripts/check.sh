@@ -1,13 +1,14 @@
 #!/bin/sh
 # check.sh — the repo's verification gate: build, vet, gofmt, the full
 # test suite with the race detector on, short fuzzes of the similarity
-# kernels, the kNN index, the incremental query executor, the batch
-# feature extractor, the distance baseline, the VQL parser and the CSV
-# loader (each 10 s, in that order), ten race-detector runs of the
-# shared artifacts (the kNN base, and the pristine executors concurrent
-# sessions' pricers read) under concurrent sessions, the docs gate, and a
-# one-shot benchmark smoke so the bench harness cannot rot. CI and
-# pre-commit both run this.
+# kernels, the prefix-filtered self-join (FuzzSelfJoin), the kNN index,
+# the incremental query executor, the batch feature extractor, the
+# distance baseline, the VQL parser and the CSV loader (each 10 s, in
+# that order), ten race-detector runs of the shared artifacts (the kNN
+# base, and the pristine executors concurrent sessions' pricers read)
+# under concurrent sessions, the docs gate, and a one-shot benchmark
+# smoke so the bench harness cannot rot. CI and pre-commit both run
+# this.
 #
 # The race run executes every test on every pass (-shuffle is not a
 # cacheable flag), among them the determinism, incremental-equivalence
@@ -44,6 +45,9 @@ go test -race -shuffle=on ./...
 # regression input, which the plain `go test` above then replays.
 echo "== fuzz: similarity kernels vs the string-level measures (10 s)"
 go test -run '^$' -fuzz '^FuzzSimilarityKernels$' -fuzztime 10s ./internal/stringsim
+
+echo "== fuzz: token-id self-join vs the all-pairs reference (10 s)"
+go test -run '^$' -fuzz '^FuzzSelfJoin$' -fuzztime 10s ./internal/stringsim
 
 echo "== fuzz: kNN id index vs the string-set reference (10 s)"
 go test -run '^$' -fuzz '^FuzzNearest$' -fuzztime 10s ./internal/knn
