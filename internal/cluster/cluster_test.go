@@ -231,6 +231,67 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
+// TestClusterViewRoutes: the multi-view routes proxy through the
+// router, and a bad view index is the owner's 400, relayed as is: were
+// it a 404, the failover scan would go on to the other shard, which
+// restores the session from the shared snapshot directory and leaves
+// it live on both shards.
+func TestClusterViewRoutes(t *testing.T) {
+	snapDir := t.TempDir()
+	a := newTestShard(t, snapDir, true, true)
+	b := newTestShard(t, snapDir, true, true)
+	rt, err := New(Config{
+		Shards:         []string{a.ts.URL, b.ts.URL},
+		HealthInterval: -1,
+		Logf:           t.Logf,
+		NewID:          func() string { return "views-1" },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	mux := rt.Handler()
+
+	rec := routerReq(t, mux, http.MethodPost, "/api/session", "{}")
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body.String())
+	}
+	const id = "views-1"
+	const query = `VISUALIZE bar SELECT Affiliation, AVG(Citations) FROM D1 TRANSFORM GROUP BY Affiliation SORT Y BY DESC LIMIT 8`
+	body, _ := json.Marshal(map[string]string{"query": query})
+	rec = routerReq(t, mux, http.MethodPost, "/api/session/"+id+"/view", string(body))
+	if rec.Code != http.StatusCreated || strings.TrimSpace(rec.Body.String()) != `{"view":1}` {
+		t.Fatalf("add view via router: %d %s", rec.Code, rec.Body.String())
+	}
+	rec = routerReq(t, mux, http.MethodGet, "/api/session/"+id+"/view/1/chart", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("view chart via router: %d %s", rec.Code, rec.Body.String())
+	}
+	var chart struct {
+		Query string `json:"query"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &chart); err != nil || chart.Query != query {
+		t.Fatalf("view chart via router = %s (%v)", rec.Body.String(), err)
+	}
+	for _, v := range []string{"7", "x"} {
+		if rec := routerReq(t, mux, http.MethodGet, "/api/session/"+id+"/view/"+v+"/chart", ""); rec.Code != http.StatusBadRequest {
+			t.Fatalf("view %s chart via router: %d, want 400", v, rec.Code)
+		}
+	}
+
+	live := 0
+	for _, sh := range []*testShard{a, b} {
+		for _, info := range sh.reg.List() {
+			if info.ID == id {
+				live++
+			}
+		}
+	}
+	if live != 1 {
+		t.Fatalf("session %s is live on %d shards, want 1", id, live)
+	}
+}
+
 // TestClusterJoinAndDrain walks a shard through the membership
 // lifecycle: it joins (sessions rebalance onto it, bit-exactly), then
 // the other shard drains (all sessions hand off, nothing lost).

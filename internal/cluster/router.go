@@ -154,6 +154,8 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /api/session", rt.handleCreate)
 	mux.HandleFunc("GET /api/sessions", rt.handleList)
 	mux.HandleFunc("GET /api/session/{id}/state", rt.handleSession)
+	mux.HandleFunc("POST /api/session/{id}/view", rt.handleSession)
+	mux.HandleFunc("GET /api/session/{id}/view/{v}/chart", rt.handleSession)
 	mux.HandleFunc("POST /api/session/{id}/iterate", rt.handleSession)
 	mux.HandleFunc("POST /api/session/{id}/answer", rt.handleSession)
 	mux.HandleFunc("DELETE /api/session/{id}", rt.handleSession)

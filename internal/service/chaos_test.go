@@ -111,7 +111,7 @@ func driveTo(reg *Registry, id string, targetIter int, interactive bool, ref []s
 			if st.Iteration >= targetIter || (st.Report != nil && st.Report.Exhausted) {
 				return nil
 			}
-			switch err := reg.Iterate(id); {
+			switch err := reg.Iterate(id, ""); {
 			case err == nil, errors.Is(err, ErrIterationRunning):
 			case errors.Is(err, ErrOverloaded), errors.Is(err, ErrNotFound), errors.Is(err, ErrBusy):
 				time.Sleep(5 * time.Millisecond) // backpressure or injected restore fault
@@ -228,7 +228,7 @@ func churn(reg *Registry, seed int64, stop <-chan struct{}) {
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		_ = reg.Iterate(id)
+		_ = reg.Iterate(id, "")
 		for i := 0; i < 50; i++ {
 			st, err := reg.State(id)
 			if err != nil || !st.Running {

@@ -166,15 +166,11 @@ func (u *wedgedUser) AnswerO(c string, id dataset.TupleID, cur float64) (bool, f
 }
 
 // TestTeardownTimeoutDropsWedged: a wedged iteration must be dropped
-// without a snapshot after Config.TeardownTimeout (driven here by the
-// injected teardown clock), while a healthy session in the same sweep
-// persists — and the zombie iteration finishing later must not write a
-// snapshot for the dropped session either.
+// without a snapshot after teardownTimeout (driven here by the injected
+// teardown clock), while a healthy session in the same sweep persists —
+// and the zombie iteration finishing later must not write a snapshot
+// for the dropped session either.
 func TestTeardownTimeoutDropsWedged(t *testing.T) {
-	if got := (Config{}).withDefaults().TeardownTimeout; got != 30*time.Second {
-		t.Fatalf("default TeardownTimeout = %v, want 30s", got)
-	}
-
 	dir := t.TempDir()
 	wedge := &wedgedUser{started: make(chan struct{}), release: make(chan struct{})}
 	expired := make(chan time.Time)
@@ -183,9 +179,8 @@ func TestTeardownTimeoutDropsWedged(t *testing.T) {
 	reg := NewRegistry(Config{
 		MaxSessions: 4, Workers: 2, SweepInterval: time.Hour,
 		IdleTTL: time.Millisecond, SnapshotDir: dir,
-		TeardownTimeout: 123 * time.Millisecond,
-		Logf:            lc.logf,
-		teardownAfter:   func(time.Duration) <-chan time.Time { return expired },
+		Logf:          lc.logf,
+		teardownAfter: func(time.Duration) <-chan time.Time { return expired },
 		Factory: func(spec Spec) (*pipeline.Session, pipeline.User, error) {
 			ps, auto, err := StandardFactory(spec)
 			if err != nil {
@@ -215,7 +210,7 @@ func TestTeardownTimeoutDropsWedged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Iterate(wedged); err != nil {
+	if err := reg.Iterate(wedged, ""); err != nil {
 		t.Fatal(err)
 	}
 	<-wedge.started // the iteration is inside stuck user code now
@@ -232,8 +227,8 @@ func TestTeardownTimeoutDropsWedged(t *testing.T) {
 	if reg.Len() != 0 {
 		t.Fatalf("registry still holds %d sessions", reg.Len())
 	}
-	if !lc.contains("did not stop within 123ms") {
-		t.Fatal("wedged drop was not logged with the configured timeout")
+	if !lc.contains("did not stop within 30s") {
+		t.Fatal("wedged drop was not logged with the teardown timeout")
 	}
 	if _, err := ReadSnapshotFile(reg.snapshotPath(healthy)); err != nil {
 		t.Fatalf("healthy session was not persisted: %v", err)

@@ -21,7 +21,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -53,37 +52,15 @@ func (r *Registry) Detach(id string) (Snapshot, error) {
 		return snap, nil
 	}
 
-	// Quiesce exactly like an eviction: mark closed (blocks new
-	// iterations and bars the zombie-persist path), cancel, wait.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// Quiesce exactly like an eviction: stop (blocks new iterations and
+	// bars the zombie-persist path), await, drop.
+	if !s.stop() {
 		return Snapshot{}, ErrClosed
 	}
-	s.closed = true
-	done := s.iterDone
-	s.mu.Unlock()
-	s.cancel()
-	wedged := false
-	if done != nil {
-		select {
-		case <-done:
-		case <-r.cfg.teardownAfter(r.cfg.TeardownTimeout):
-			// The iteration ignored cancellation; the pipeline may still
-			// be mutating, so its history is unsafe to read.
-			wedged = true
-		}
-	}
-	r.mu.Lock()
-	delete(r.sessions, id)
-	obsSessionsLive.Set(int64(len(r.sessions)))
-	r.mu.Unlock()
-
-	if wedged {
-		// Safe beside the still-running iteration, as in teardownAll.
-		s.ps.Close()
+	if !r.await(s) {
+		r.drop(s)
 		r.cfg.Logf("service: session %s iteration did not stop within %v during detach; handing over last persisted boundary",
-			id, r.cfg.TeardownTimeout)
+			id, teardownTimeout)
 		snap, err := r.readDiskSnapshot(id)
 		if err != nil {
 			return Snapshot{}, fmt.Errorf("service: detach %s: wedged iteration and no durable snapshot: %w", id, err)
@@ -91,7 +68,6 @@ func (r *Registry) Detach(id string) (Snapshot, error) {
 		obsSessionsDetached.Inc()
 		return snap, nil
 	}
-
 	snap := Snapshot{
 		Version:     SnapshotVersion,
 		ID:          id,
@@ -99,31 +75,10 @@ func (r *Registry) Detach(id string) (Snapshot, error) {
 		SavedAtUnix: time.Now().Unix(),
 		History:     s.ps.History(),
 	}
-	// The session is out of this registry for good: release its
-	// artifact-cache handles so the shared entries can go idle.
-	s.ps.Close()
+	r.drop(s)
 	obsSessionsDetached.Inc()
 	r.cfg.Logf("service: session %s detached (%d iterations, %d answers)",
 		id, len(snap.History.Iterations), snap.History.NumAnswers())
-	return snap, nil
-}
-
-// readDiskSnapshot loads and validates a session's persisted snapshot.
-func (r *Registry) readDiskSnapshot(id string) (Snapshot, error) {
-	if r.cfg.SnapshotDir == "" {
-		return Snapshot{}, ErrNotFound
-	}
-	snap, err := ReadSnapshotFile(r.snapshotPath(id))
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			r.cfg.Logf("service: detach %s: %v", id, err)
-		}
-		return Snapshot{}, ErrNotFound
-	}
-	if snap.ID != id {
-		r.cfg.Logf("service: detach %s: snapshot claims id %s", id, snap.ID)
-		return Snapshot{}, ErrNotFound
-	}
 	return snap, nil
 }
 
@@ -150,34 +105,13 @@ func (r *Registry) Attach(snap Snapshot) error {
 	if live {
 		return ErrExists
 	}
-	if err := r.reserveSlot(); err != nil {
+	s, err := r.admit(id, snap.Spec, &snap.History)
+	switch {
+	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
 		return err
-	}
-	ps, auto, err := r.cfg.Factory(snap.Spec)
-	if err == nil {
-		err = ps.Replay(snap.History)
-	}
-	if err != nil {
-		if ps != nil {
-			// The factory built the session but replay failed: release its
-			// artifact-cache handles before discarding it.
-			ps.Close()
-		}
-		r.releaseSlot()
+	case err != nil:
 		return fmt.Errorf("service: attach session %s: %w", id, err)
 	}
-	s := r.wrap(id, snap.Spec, ps, auto)
-	r.mu.Lock()
-	r.building--
-	if r.closed {
-		r.mu.Unlock()
-		s.cancel()
-		s.ps.Close()
-		return ErrClosed
-	}
-	r.sessions[id] = s
-	obsSessionsLive.Set(int64(len(r.sessions)))
-	r.mu.Unlock()
 	obsSessionsAttached.Inc()
 	_ = r.persistSession(s)
 	r.cfg.Logf("service: session %s attached (%d iterations, %d answers replayed)",

@@ -253,7 +253,7 @@ func TestDetachWedgedReleasesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Iterate(id); err != nil {
+	if err := reg.Iterate(id, ""); err != nil {
 		t.Fatal(err)
 	}
 	<-wedge.started // the iteration is inside stuck user code now
@@ -272,6 +272,24 @@ func TestDetachWedgedReleasesArtifacts(t *testing.T) {
 // shuts down while the session is being rebuilt fails with ErrClosed,
 // and must release the rebuilt session's artifact-cache handles.
 func TestAttachRacingShutdownReleasesArtifacts(t *testing.T) {
+	snap := Snapshot{Version: SnapshotVersion, ID: "import-1", Spec: testSpec(3, true).WithDefaults()}
+	raceShutdown(t, "an Attach", func(reg *Registry) error { return reg.Attach(snap) })
+}
+
+// TestCreateRacingShutdownReleasesArtifacts: the same race on a create,
+// which shares admit's closed-registry branch with every entry path.
+func TestCreateRacingShutdownReleasesArtifacts(t *testing.T) {
+	raceShutdown(t, "a Create", func(reg *Registry) error {
+		_, err := reg.Create(testSpec(3, true))
+		return err
+	})
+}
+
+// raceShutdown shuts the registry down while enter's factory call is
+// building, then requires ErrClosed and every artifact-cache handle the
+// build took released.
+func raceShutdown(t *testing.T, what string, enter func(*Registry) error) {
+	t.Helper()
 	cache := artifact.New(0)
 	building, resume := make(chan struct{}), make(chan struct{})
 	reg := newTestRegistry(t, func(c *Config) {
@@ -282,16 +300,43 @@ func TestAttachRacingShutdownReleasesArtifacts(t *testing.T) {
 			return ps, auto, err
 		}
 	})
-	snap := Snapshot{Version: SnapshotVersion, ID: "import-1", Spec: testSpec(3, true).WithDefaults()}
 	errc := make(chan error, 1)
-	go func() { errc <- reg.Attach(snap) }()
+	go func() { errc <- enter(reg) }()
 	<-building
 	reg.Shutdown()
 	close(resume)
 	if err := <-errc; !errors.Is(err, ErrClosed) {
-		t.Fatalf("attach racing shutdown: %v, want ErrClosed", err)
+		t.Fatalf("%s racing shutdown: %v, want ErrClosed", what, err)
 	}
-	assertReleased(t, cache.Stats(), "after an Attach that lost the race with Shutdown")
+	assertReleased(t, cache.Stats(), "after "+what+" that lost the race with Shutdown")
+}
+
+// TestRestoreReplayFailureReleasesArtifacts: a lazy restore whose
+// snapshot ends in an answer of unknown kind answers ErrNotFound, leaves
+// no live session, and releases the artifact-cache handles the rebuild
+// took before its replay failed.
+func TestRestoreReplayFailureReleasesArtifacts(t *testing.T) {
+	cache := artifact.New(0)
+	dir := t.TempDir()
+	reg := newTestRegistry(t, func(c *Config) {
+		c.SnapshotDir = dir
+		c.Factory = CachedFactory(cache)
+	})
+	snap := Snapshot{
+		ID:      "bad-tail",
+		Spec:    testSpec(3, true).WithDefaults(),
+		History: pipeline.History{Partial: []pipeline.Answer{{Kind: "?"}}},
+	}
+	if err := WriteSnapshotFile(reg.snapshotPath(snap.ID), snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.State(snap.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("restore of a snapshot ending in an unknown answer kind: %v, want ErrNotFound", err)
+	}
+	if n := reg.Len(); n != 0 {
+		t.Fatalf("failed restore left %d live sessions", n)
+	}
+	assertReleased(t, cache.Stats(), "after a failed lazy restore")
 }
 
 // TestCreateWithIDRefusesDiskDuplicate: a pinned id that exists only

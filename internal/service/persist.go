@@ -142,16 +142,17 @@ func (r *Registry) snapshotPath(id string) string {
 }
 
 // Persist retry backoff: transient write failures (full disk clearing,
-// antivirus briefly locking the file, an injected fault) are retried a
-// few times with capped exponential backoff before the persist is
-// declared failed.
+// antivirus briefly locking the file, an injected fault) are retried
+// persistRetries times (up to 3 attempts) with capped exponential
+// backoff before the persist is declared failed.
 const (
+	persistRetries   = 2
 	persistRetryBase = 5 * time.Millisecond
 	persistRetryMax  = 40 * time.Millisecond
 )
 
 // persistSession snapshots a session's current history to disk,
-// retrying transient failures Config.PersistRetries times. Callers must
+// retrying transient failures persistRetries times. Callers must
 // hold exclusive ownership of the pipeline (worker at iteration end, or
 // registry teardown after the iteration stopped). On failure (after
 // retries) it bumps visclean_persist_failures_total and returns the
@@ -173,11 +174,11 @@ func (r *Registry) persistSession(s *Session) error {
 		}
 		// A simulated crash means "the process died here": the retry
 		// loop does not exist in that world, so don't run it.
-		if errors.Is(err, fault.ErrCrash) || attempt >= r.cfg.PersistRetries {
+		if errors.Is(err, fault.ErrCrash) || attempt >= persistRetries {
 			break
 		}
 		r.cfg.Logf("service: persist session %s (attempt %d of %d): %v",
-			s.id, attempt+1, r.cfg.PersistRetries+1, err)
+			s.id, attempt+1, persistRetries+1, err)
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > persistRetryMax {
 			backoff = persistRetryMax

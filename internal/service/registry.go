@@ -209,29 +209,11 @@ func (r *Registry) CreateWithID(id string, spec Spec) (string, error) {
 
 func (r *Registry) create(id string, spec Spec) (string, error) {
 	spec = spec.WithDefaults()
-	if err := r.reserveSlot(); err != nil {
-		return "", err
-	}
-	ps, auto, err := r.cfg.Factory(spec)
+	s, err := r.admit(id, spec, nil)
 	if err != nil {
-		r.releaseSlot()
 		return "", err
 	}
-	s := r.wrap(id, spec, ps, auto)
-
-	r.mu.Lock()
-	r.building--
-	if r.closed {
-		r.mu.Unlock()
-		s.cancel()
-		s.ps.Close()
-		return "", ErrClosed
-	}
-	r.sessions[id] = s
-	obsSessionsLive.Set(int64(len(r.sessions)))
-	r.mu.Unlock()
 	obsSessionsCreated.Inc()
-
 	// Persist immediately so even a never-iterated session survives a
 	// restart. A failed persist is logged and metered inside; the
 	// session is still live, and the next successful persist (iteration
@@ -240,6 +222,58 @@ func (r *Registry) create(id string, spec Spec) (string, error) {
 	r.cfg.Logf("service: session %s created (%s scale=%g seed=%d auto=%v)",
 		id, spec.Dataset, spec.Scale, spec.Seed, spec.Auto)
 	return id, nil
+}
+
+// admit builds a session and registers it under id, for create, lazy
+// restore and Attach alike: it reserves a slot, runs the Factory,
+// replays hist when rebuilding from a snapshot (hist non-nil), wraps
+// the session and registers it. A build or replay failure releases the
+// slot and the built pipeline's artifact-cache handles and returns the
+// error; a registry shut down meanwhile releases them too and gives
+// ErrClosed. ErrBusy and ErrClosed from the slot reservation come back
+// unwrapped.
+func (r *Registry) admit(id string, spec Spec, hist *pipeline.History) (*Session, error) {
+	if err := r.reserveSlot(); err != nil {
+		return nil, err
+	}
+	var ps *pipeline.Session
+	var auto pipeline.User
+	var err error
+	// Failpoints service/restore.build and .replay fire on a rebuild from
+	// a snapshot only. A delay at .build widens the window between the
+	// snapshot read and the rebuild, which the close/restore regression
+	// test drives.
+	if hist != nil {
+		err = fault.Point("service/restore.build")
+	}
+	if err == nil {
+		ps, auto, err = r.cfg.Factory(spec)
+	}
+	if err == nil && hist != nil {
+		if err = fault.Point("service/restore.replay"); err == nil {
+			err = ps.Replay(*hist)
+		}
+	}
+	if err != nil {
+		if ps != nil {
+			ps.Close()
+		}
+		r.releaseSlot()
+		return nil, err
+	}
+	s := r.wrap(id, spec, ps, auto)
+	r.mu.Lock()
+	r.building--
+	if r.closed {
+		r.mu.Unlock()
+		s.cancel()
+		ps.Close()
+		return nil, ErrClosed
+	}
+	r.sessions[id] = s
+	obsSessionsLive.Set(int64(len(r.sessions)))
+	r.mu.Unlock()
+	return s, nil
 }
 
 // get returns a live session, lazily restoring it from its snapshot if
@@ -274,61 +308,42 @@ func (r *Registry) restore(id string) (*Session, error) {
 	}
 	r.mu.Unlock()
 
+	snap, err := r.readDiskSnapshot(id)
+	if err != nil {
+		return nil, err
+	}
+	s, err := r.admit(id, snap.Spec, &snap.History)
+	switch {
+	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
+		return nil, err
+	case err != nil:
+		r.cfg.Logf("service: rebuild session %s: %v", id, err)
+		return nil, ErrNotFound
+	}
+	obsSessionsRestored.Inc()
+	r.cfg.Logf("service: session %s restored from snapshot (%d iterations, %d answers replayed)",
+		id, len(snap.History.Iterations), snap.History.NumAnswers())
+	return s, nil
+}
+
+// readDiskSnapshot loads and validates a session's persisted snapshot,
+// logging and skipping a corrupt or mismatched file as ErrNotFound.
+func (r *Registry) readDiskSnapshot(id string) (Snapshot, error) {
+	if r.cfg.SnapshotDir == "" {
+		return Snapshot{}, ErrNotFound
+	}
 	snap, err := ReadSnapshotFile(r.snapshotPath(id))
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			r.cfg.Logf("service: skipping snapshot for %s: %v", id, err)
 		}
-		return nil, ErrNotFound
+		return Snapshot{}, ErrNotFound
 	}
 	if snap.ID != id {
 		r.cfg.Logf("service: snapshot id mismatch: file %s claims %s", id, snap.ID)
-		return nil, ErrNotFound
+		return Snapshot{}, ErrNotFound
 	}
-	if err := r.reserveSlot(); err != nil {
-		return nil, err
-	}
-	// Failpoint service/restore.build sits between the snapshot read
-	// and the rebuild: a delay here is the widened race window the
-	// close/restore regression test drives.
-	if err := fault.Point("service/restore.build"); err == nil {
-		var ps *pipeline.Session
-		var auto pipeline.User
-		ps, auto, err = r.cfg.Factory(snap.Spec)
-		if err == nil {
-			if rerr := fault.Point("service/restore.replay"); rerr != nil {
-				err = rerr
-			} else {
-				err = ps.Replay(snap.History)
-			}
-		}
-		if err == nil {
-			s := r.wrap(id, snap.Spec, ps, auto)
-			r.mu.Lock()
-			r.building--
-			if r.closed {
-				r.mu.Unlock()
-				s.cancel()
-				s.ps.Close()
-				return nil, ErrClosed
-			}
-			r.sessions[id] = s
-			obsSessionsLive.Set(int64(len(r.sessions)))
-			r.mu.Unlock()
-			obsSessionsRestored.Inc()
-			r.cfg.Logf("service: session %s restored from snapshot (%d iterations, %d answers replayed)",
-				id, len(snap.History.Iterations), snap.History.NumAnswers())
-			return s, nil
-		}
-		if ps != nil {
-			// The factory built the session but replay failed: release its
-			// artifact-cache handles before discarding it.
-			ps.Close()
-		}
-	}
-	r.releaseSlot()
-	r.cfg.Logf("service: rebuild session %s: %v", id, err)
-	return nil, ErrNotFound
+	return snap, nil
 }
 
 // RestoreAll eagerly restores every snapshot in the snapshot directory,
@@ -381,52 +396,23 @@ func (r *Registry) State(id string) (State, error) {
 	return s.State(), nil
 }
 
-// Iterate schedules one cleaning iteration on the worker pool. It fails
-// with ErrIterationRunning if one is already in flight for this session
-// and with ErrOverloaded when the pool queue is full (backpressure).
-func (r *Registry) Iterate(id string) error {
-	return r.iterate(id, "")
-}
-
-// IterateTagged is Iterate with a request tag (typically the
-// X-Request-ID header the cluster router stamped on the request) that
-// is folded into the iteration's obs trace label, so one request can be
-// followed from the router through the shard into the pipeline trace.
-func (r *Registry) IterateTagged(id, tag string) error {
-	return r.iterate(id, tag)
-}
-
-func (r *Registry) iterate(id, tag string) error {
+// Iterate schedules one cleaning iteration on the worker pool. The tag
+// (typically the X-Request-ID header the cluster router stamped on the
+// request, or empty) is folded into the iteration's obs trace label, so
+// one request can be followed from the router through the shard into
+// the pipeline trace. It fails with ErrIterationRunning if one is
+// already in flight for this session and with ErrOverloaded when the
+// pool queue is full (backpressure).
+func (r *Registry) Iterate(id, tag string) error {
 	s, err := r.get(id)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	if err := s.claim(true, tag); err != nil {
+		return err
 	}
-	if s.running {
-		s.mu.Unlock()
-		return ErrIterationRunning
-	}
-	s.running = true
-	s.errMsg = ""
-	s.cqg = nil
-	s.iterTag = tag
-	s.iterDone = make(chan struct{})
-	s.lastActive = time.Now()
-	s.mu.Unlock()
-
 	if !r.pool.trySubmit(s.runIteration) {
-		s.mu.Lock()
-		s.running = false
-		done := s.iterDone
-		s.iterDone = nil
-		s.mu.Unlock()
-		if done != nil {
-			close(done) // a teardown may already be waiting on it
-		}
+		s.release(nil, nil)
 		obsOverloadRejections.Inc()
 		return ErrOverloaded
 	}
@@ -448,48 +434,18 @@ func (r *Registry) AddView(id, query string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Claim the pipeline exactly like an iteration does (running flag
-	// plus a done channel for teardown to wait on): between here and the
-	// close(done) below this goroutine is the pipeline's sole owner.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
+	// Claim the pipeline exactly like an iteration does: until the
+	// release below this goroutine is its sole owner.
+	if err := s.claim(false, ""); err != nil {
+		return 0, err
 	}
-	if s.running {
-		s.mu.Unlock()
-		return 0, ErrIterationRunning
+	v, err := s.ps.AddView(q)
+	if err == nil {
+		s.checkpoint()
 	}
-	s.running = true
-	s.iterDone = make(chan struct{})
-	s.lastActive = time.Now()
-	s.mu.Unlock()
-
-	v, verr := s.ps.AddView(q)
-	if verr == nil {
-		// Persist before declaring the registration done, unless a
-		// teardown closed the session meanwhile (same rationale as
-		// runIteration's closed check).
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if !closed {
-			s.refreshCache()
-			_ = r.persistSession(s)
-		}
-	}
-
-	s.mu.Lock()
-	s.running = false
-	s.lastActive = time.Now()
-	done := s.iterDone
-	s.iterDone = nil
-	s.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
-	if verr != nil {
-		return 0, verr
+	s.release(nil, nil)
+	if err != nil {
+		return 0, err
 	}
 	r.cfg.Logf("service: session %s view %d added (%s)", id, v, query)
 	return v, nil
@@ -552,14 +508,19 @@ func (r *Registry) Close(id string) error {
 	return ErrNotFound
 }
 
+// teardownTimeout is how long a teardown waits for an in-flight
+// iteration to acknowledge cancellation before declaring it wedged and
+// dropping the session without a snapshot.
+const teardownTimeout = 30 * time.Second
+
 // teardown cancels a session, waits for its iteration to stop,
 // optionally persists it, and removes it from the registry.
 func (r *Registry) teardown(s *Session, persist bool) {
 	r.teardownAll([]*Session{s}, persist, false)
 }
 
-// teardownAll tears down a batch: every victim is cancelled FIRST, then
-// each is waited on. Cancelling up front matters when victims share the
+// teardownAll tears down a batch: every victim is stopped FIRST, then
+// each is awaited. Cancelling up front matters when victims share the
 // worker pool — a victim whose iteration is queued behind another
 // victim's parked iteration only finishes once that one is cancelled
 // too, so cancel-then-wait per session could stall the whole sweep.
@@ -570,34 +531,18 @@ func (r *Registry) teardown(s *Session, persist bool) {
 // closed flag cleared) and the next sweep retries. The count of such
 // kept sessions is returned.
 func (r *Registry) teardownAll(victims []*Session, persist, keepOnPersistFailure bool) (kept int) {
-	var started []*Session
+	var stopped []*Session
 	for _, s := range victims {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
+		if s.stop() {
+			stopped = append(stopped, s)
 		}
-		s.closed = true
-		s.mu.Unlock()
-		s.cancel()
-		started = append(started, s)
 	}
-	for _, s := range started {
-		s.mu.Lock()
-		done := s.iterDone
-		s.mu.Unlock()
+	for _, s := range stopped {
 		keep := persist
-		if done != nil {
-			select {
-			case <-done:
-			case <-r.cfg.teardownAfter(r.cfg.TeardownTimeout):
-				// The iteration ignored cancellation (stuck user code).
-				// The pipeline may still be mutating, so reading its
-				// history is unsafe — drop the session without a snapshot.
-				r.cfg.Logf("service: session %s iteration did not stop within %v; dropping without snapshot",
-					s.id, r.cfg.TeardownTimeout)
-				keep = false
-			}
+		if !r.await(s) {
+			r.cfg.Logf("service: session %s iteration did not stop within %v; dropping without snapshot",
+				s.id, teardownTimeout)
+			keep = false
 		}
 		if keep && r.persistSession(s) != nil && keepOnPersistFailure {
 			// Persist failed after retries. Resurrect the session under
@@ -616,18 +561,41 @@ func (r *Registry) teardownAll(victims []*Session, persist, keepOnPersistFailure
 			ns.cancel()
 			r.cfg.Logf("service: session %s state lost: persist failed during shutdown", s.id)
 		}
-		r.mu.Lock()
-		delete(r.sessions, s.id)
-		obsSessionsLive.Set(int64(len(r.sessions)))
-		r.mu.Unlock()
-		// The session is out of the registry for good: release its
-		// artifact-cache handles so the shared entries can go idle (and
-		// become evictable). Safe even on the wedged-iteration path —
-		// the pipeline's close is guarded against concurrent acquires,
-		// and the session's own references keep the structures alive.
-		s.ps.Close()
+		r.drop(s)
 	}
 	return kept
+}
+
+// await waits for a stopped session's claim to end. It reports false
+// when the claim outlives teardownTimeout: the iteration ignored
+// cancellation (stuck user code), so the pipeline may still be mutating
+// and its history is unsafe to read.
+func (r *Registry) await(s *Session) bool {
+	s.mu.Lock()
+	done := s.iterDone
+	s.mu.Unlock()
+	if done == nil {
+		return true
+	}
+	select {
+	case <-done:
+		return true
+	case <-r.cfg.teardownAfter(teardownTimeout):
+		return false
+	}
+}
+
+// drop removes a stopped session from the registry for good and
+// releases its artifact-cache handles, so the shared entries can go
+// idle (and become evictable). Safe even beside a wedged iteration —
+// the pipeline's close is guarded against concurrent acquires, and the
+// session's own references keep the structures alive.
+func (r *Registry) drop(s *Session) {
+	r.mu.Lock()
+	delete(r.sessions, s.id)
+	obsSessionsLive.Set(int64(len(r.sessions)))
+	r.mu.Unlock()
+	s.ps.Close()
 }
 
 // SessionInfo summarizes one live session.
@@ -727,24 +695,7 @@ func (r *Registry) sweeper() {
 // session, and drains the worker pool. The registry is unusable
 // afterwards; a new one pointed at the same SnapshotDir resumes every
 // session.
-func (r *Registry) Shutdown() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	sessions := make([]*Session, 0, len(r.sessions))
-	for _, s := range r.sessions {
-		sessions = append(sessions, s)
-	}
-	r.mu.Unlock()
-
-	close(r.stopSweep)
-	<-r.sweeperDone
-	r.teardownAll(sessions, true, false)
-	r.pool.shutdown()
-}
+func (r *Registry) Shutdown() { r.halt(true) }
 
 // Kill tears the registry down WITHOUT persisting anything: in-flight
 // iterations are cancelled and waited for, but no final snapshots are
@@ -753,7 +704,11 @@ func (r *Registry) Shutdown() {
 // minus the leaked goroutines. It exists for crash drills (the cluster
 // chaos harness kills whole in-process shards with it) and must never
 // be the production shutdown path.
-func (r *Registry) Kill() {
+func (r *Registry) Kill() { r.halt(false) }
+
+// halt is Shutdown's and Kill's one body; persist is their only
+// difference.
+func (r *Registry) halt(persist bool) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -768,7 +723,7 @@ func (r *Registry) Kill() {
 
 	close(r.stopSweep)
 	<-r.sweeperDone
-	r.teardownAll(sessions, false, false)
+	r.teardownAll(sessions, persist, false)
 	r.pool.shutdown()
 }
 

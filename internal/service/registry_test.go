@@ -38,7 +38,7 @@ func newTestRegistry(t *testing.T, mutate func(*Config)) *Registry {
 func iterateRetry(reg *Registry, id string) error {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		err := reg.Iterate(id)
+		err := reg.Iterate(id, "")
 		if !errors.Is(err, ErrOverloaded) || time.Now().After(deadline) {
 			return err
 		}
@@ -188,7 +188,7 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := reg.Iterate(parked); err != nil {
+	if err := reg.Iterate(parked, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Once a question is parked the iteration is definitely ON the
@@ -196,10 +196,10 @@ func TestBackpressure(t *testing.T) {
 	if _, err := waitQuestion(reg, parked); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Iterate(queuedA); err != nil {
+	if err := reg.Iterate(queuedA, ""); err != nil {
 		t.Fatalf("queueing one iteration should succeed: %v", err)
 	}
-	if err := reg.Iterate(queuedB); !errors.Is(err, ErrOverloaded) {
+	if err := reg.Iterate(queuedB, ""); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("iterate with full queue: err = %v, want ErrOverloaded", err)
 	}
 	// The rejected session must be schedulable again, not stuck
@@ -250,7 +250,7 @@ func TestAnswerTimeoutUnparks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Iterate(id); err != nil {
+	if err := reg.Iterate(id, ""); err != nil {
 		t.Fatal(err)
 	}
 	st, err := waitIdle(reg, id)
@@ -284,7 +284,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Iterate(id); err != nil {
+	if err := reg.Iterate(id, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := waitQuestion(reg, id); err != nil {

@@ -222,14 +222,6 @@ type Config struct {
 	// AnswerTimeout is the longest a question stays parked waiting for
 	// an answer before it resolves as skipped (default 10m).
 	AnswerTimeout time.Duration
-	// TeardownTimeout is how long teardown waits for an in-flight
-	// iteration to acknowledge cancellation before declaring it wedged
-	// and dropping the session without a snapshot (default 30s).
-	TeardownTimeout time.Duration
-	// PersistRetries is how many times a failed snapshot persist is
-	// retried with capped backoff before being declared failed
-	// (default 2, i.e. up to 3 attempts).
-	PersistRetries int
 	// SnapshotDir persists session snapshots; empty disables
 	// persistence (eviction then discards state).
 	SnapshotDir string
@@ -277,12 +269,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AnswerTimeout == 0 {
 		c.AnswerTimeout = 10 * time.Minute
-	}
-	if c.TeardownTimeout == 0 {
-		c.TeardownTimeout = 30 * time.Second
-	}
-	if c.PersistRetries == 0 {
-		c.PersistRetries = 2
 	}
 	if c.teardownAfter == nil {
 		c.teardownAfter = time.After

@@ -19,12 +19,13 @@ import (
 // cancellation context and idle clock.
 //
 // Concurrency contract: the embedded pipeline session is NOT
-// thread-safe. It is touched only by (a) the single pool worker running
-// an iteration while `running` is true, and (b) the registry during
-// create/restore/teardown when `running` is false and `closed` blocks
-// new iterations. Everything frontends read per poll (chart, distance,
-// iteration count, report) is cached on this struct under mu by the
-// worker at iteration boundaries, so State() never races the pipeline.
+// thread-safe. It is touched only by (a) the holder of its claim (see
+// claim): the single pool worker running an iteration, or an AddView
+// call, and (b) the registry while admitting the session (before it is
+// registered) or tearing it down (once `closed` bars new claims and the
+// last one has ended). Everything frontends read per poll (chart,
+// distance, iteration count, report) is cached on this struct under mu
+// by the claim holder, so State() never races the pipeline.
 type Session struct {
 	id   string
 	spec Spec
@@ -180,11 +181,93 @@ func (s *Session) refreshCache() {
 	s.mu.Unlock()
 }
 
+// claim makes the caller the pipeline's sole owner until its release:
+// it fails while the session is closed or already claimed, and
+// otherwise sets running and the done channel a teardown waits on. An
+// iteration's claim (iter) also clears the previous iteration's error
+// and CQG and records the request tag for its trace label.
+func (s *Session) claim(iter bool, tag string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if s.running {
+		return ErrIterationRunning
+	}
+	s.running = true
+	s.iterDone = make(chan struct{})
+	s.lastActive = time.Now()
+	if iter {
+		s.errMsg, s.cqg, s.iterTag = "", nil, tag
+	}
+	return nil
+}
+
+// release ends a claim, recording an iteration's outcome in the same
+// critical section that clears running, so a poll that sees the
+// iteration finished also sees its report or error: a non-nil rep is
+// the finished iteration's report, and a non-nil err other than
+// cancellation its error. It then closes the done channel a teardown
+// may be waiting on.
+func (s *Session) release(rep *pipeline.Report, err error) {
+	s.mu.Lock()
+	s.running = false
+	s.lastActive = time.Now()
+	switch {
+	case rep != nil:
+		s.lastRep = rep
+	case err == nil, errors.Is(err, context.Canceled):
+		// Closed or evicted mid-iteration: partial answers stay applied
+		// and logged; not an error worth surfacing.
+	default:
+		s.errMsg = err.Error()
+	}
+	done := s.iterDone
+	s.iterDone = nil
+	s.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+}
+
+// stop marks the session closed, which bars new claims and the late
+// persist of an iteration that is still running, and cancels its
+// context. It reports false if the session was already closed.
+func (s *Session) stop() bool {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.closed = true
+	s.mu.Unlock()
+	s.cancel()
+	return true
+}
+
+// checkpoint refreshes the cached view and persists the session, while
+// the caller still holds its claim — unless a teardown already closed
+// the session. Skipping persist on closed sessions matters twice: a
+// teardown that timed out on a wedged iteration decided the pipeline
+// state is unsafe to snapshot, and a Close must not have its snapshot
+// deletion raced by a late persist from the zombie iteration.
+// (Eviction persists in teardown itself, after awaiting the claim.)
+func (s *Session) checkpoint() {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if !closed {
+		s.refreshCache()
+		_ = s.reg.persistSession(s)
+	}
+}
+
 // runIteration executes one iteration on a pool worker.
 func (s *Session) runIteration() {
-	// Sole owner of the pipeline from here to iterDone: stamp the trace
-	// label with this iteration's request tag (if any) so the span at
-	// /debug/traces names the request that scheduled it.
+	// Sole owner of the pipeline from here to the release: stamp the
+	// trace label with this iteration's request tag (if any) so the span
+	// at /debug/traces names the request that scheduled it.
 	s.mu.Lock()
 	label := s.id
 	if s.iterTag != "" {
@@ -203,42 +286,12 @@ func (s *Session) runIteration() {
 	if obs.Enabled() {
 		obsIterationSeconds.Observe(time.Since(iterStart).Seconds())
 	}
-
-	// Still the sole owner of the pipeline here: refresh the cached view
-	// and persist before declaring the iteration done — unless a
-	// teardown already closed the session. Skipping persist on closed
-	// sessions matters twice: a teardown that timed out on a wedged
-	// iteration decided the pipeline state is unsafe to snapshot, and a
-	// Close must not have its snapshot deletion raced by a late persist
-	// from the zombie iteration. (Eviction persists in teardown itself,
-	// after waiting for this function to finish.)
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if !closed {
-		s.refreshCache()
-		_ = s.reg.persistSession(s)
+	s.checkpoint()
+	if err != nil {
+		s.release(nil, err)
+		return
 	}
-
-	s.mu.Lock()
-	s.running = false
-	s.lastActive = time.Now()
-	switch {
-	case err == nil:
-		repCopy := rep
-		s.lastRep = &repCopy
-	case errors.Is(err, context.Canceled):
-		// Closed or evicted mid-iteration: partial answers stay applied
-		// and logged; not an error worth surfacing.
-	default:
-		s.errMsg = err.Error()
-	}
-	done := s.iterDone
-	s.iterDone = nil
-	s.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
+	s.release(&rep, nil)
 }
 
 // sessionUser implements pipeline.User by parking each question on the

@@ -82,9 +82,12 @@ func TestAddViewAndViewChartRoutes(t *testing.T) {
 	}
 
 	for _, path := range []string{"/view/2/chart", "/view/-1/chart", "/view/x/chart"} {
-		if rec := doReq(t, mux, http.MethodGet, "/api/session/"+id+path, ""); rec.Code != http.StatusNotFound {
-			t.Fatalf("GET %s status %d, want 404", path, rec.Code)
+		if rec := doReq(t, mux, http.MethodGet, "/api/session/"+id+path, ""); rec.Code != http.StatusBadRequest {
+			t.Fatalf("GET %s status %d, want 400", path, rec.Code)
 		}
+	}
+	if rec := doReq(t, mux, http.MethodGet, "/api/session/nosuch/view/0/chart", ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("view chart of an unknown session: status %d, want 404", rec.Code)
 	}
 }
 

@@ -332,7 +332,11 @@ func (s *Server) handleAddView(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]int{"view": v})
 }
 
-// handleViewChart serves one view's current chart by view index.
+// handleViewChart serves one view's current chart by view index. An
+// unknown session is 404; a malformed or out-of-range index is 400, not
+// 404, because the cluster router reads a 404 as "the session is not on
+// this shard" and would scan on, restoring a live session on a second
+// shard.
 func (s *Server) handleViewChart(w http.ResponseWriter, r *http.Request) {
 	st, err := s.reg.State(r.PathValue("id"))
 	if err != nil {
@@ -341,7 +345,7 @@ func (s *Server) handleViewChart(w http.ResponseWriter, r *http.Request) {
 	}
 	v, err := strconv.Atoi(r.PathValue("v"))
 	if err != nil || v < 0 || v >= len(st.ViewVis) {
-		http.Error(w, "no such view", http.StatusNotFound)
+		http.Error(w, "no such view", http.StatusBadRequest)
 		return
 	}
 	vj := viewJSON{Chart: toChartJSON(st.ViewVis[v])}
@@ -355,7 +359,7 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 	// The router stamps X-Request-ID on proxied requests; folding it into
 	// the iteration's trace label lets one request be followed from the
 	// router access log into /debug/traces on the shard.
-	if err := s.reg.IterateTagged(r.PathValue("id"), r.Header.Get("X-Request-ID")); err != nil {
+	if err := s.reg.Iterate(r.PathValue("id"), r.Header.Get("X-Request-ID")); err != nil {
 		s.writeServiceError(w, err)
 		return
 	}

@@ -3,8 +3,8 @@
 # test suite with the race detector on, short fuzzes of the similarity
 # kernels, the prefix-filtered self-join (FuzzSelfJoin), the kNN index,
 # the incremental query executor, the batch feature extractor, the
-# distance baseline, the VQL parser and the CSV loader (each 10 s, in
-# that order), ten race-detector runs of the shared artifacts (the kNN
+# distance baseline, the VQL parser, the CSV loader and the session
+# import body (FuzzImport; each 10 s, in that order), ten race-detector runs of the shared artifacts (the kNN
 # base, and the pristine executors concurrent sessions' pricers read)
 # under concurrent sessions, the docs gate, and a one-shot benchmark
 # smoke so the bench harness cannot rot. CI and pre-commit both run
@@ -66,6 +66,9 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/vql
 
 echo "== fuzz: CSV load and save fixed point (10 s)"
 go test -run '^$' -fuzz '^FuzzCSVRoundTrip$' -fuzztime 10s ./internal/dataset
+
+echo "== fuzz: session import body, the one rebuild path (10 s)"
+go test -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s ./internal/web
 
 echo "== shared kNN and basevis artifacts under concurrent sessions (-race, 10 runs)"
 go test -race -count=10 -run '^(TestKnnBaseSharedAcrossSessions|TestDeterminismArtifactCacheConcurrent)$' ./internal/pipeline/
