@@ -42,11 +42,10 @@ func BenchmarkTableOps(b *testing.B) {
 
 	b.Run("GetByID", func(b *testing.B) {
 		b.ReportAllocs()
-		ids := tbl.IDs()
 		sum := 0.0
 		for i := 0; i < b.N; i++ {
-			for _, id := range ids {
-				if v, ok := tbl.GetByID(id, cit); ok {
+			for r := 0; r < tbl.NumRows(); r++ {
+				if v, ok := tbl.GetByID(tbl.ID(r), cit); ok {
 					if f, ok := v.Float(); ok {
 						sum += f
 					}
@@ -73,16 +72,6 @@ func BenchmarkTableOps(b *testing.B) {
 			if len(m) == 0 {
 				b.Fatal("no distinct venues")
 			}
-		}
-	})
-
-	b.Run("SortBy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cp := tbl.Clone()
-			b.StartTimer()
-			cp.SortBy(cit, true)
 		}
 	})
 
@@ -135,7 +124,7 @@ func BenchmarkCloneVsOverlay(b *testing.B) {
 				}
 			}
 			for _, id := range ids {
-				if _, ok := ov.Get(id, cit); !ok {
+				if _, ok := ov.Patch(id, cit); !ok {
 					b.Fatal("lost cell")
 				}
 			}

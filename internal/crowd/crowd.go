@@ -8,10 +8,7 @@
 //   - Panel: a pool of workers that answers each question by majority
 //     vote over a sample of k workers (boolean questions) or by the
 //     median (numeric questions), and implements pipeline.User so a
-//     whole crowd can drive a cleaning session,
-//   - EstimateAccuracies: an iterative consensus re-weighting scheme (a
-//     one-coin Dawid–Skene variant) recovering worker reliabilities
-//     from their answer matrix without ground truth.
+//     whole crowd can drive a cleaning session.
 package crowd
 
 import (
@@ -205,52 +202,4 @@ func (p *Panel) AnswerO(column string, id dataset.TupleID, current float64) (boo
 		return false, current, true
 	}
 	return true, median(vals), true
-}
-
-// EstimateAccuracies recovers worker reliabilities from a boolean answer
-// matrix without ground truth: answers[q][w] is worker w's vote on
-// question q. It alternates between (1) weighted-majority consensus per
-// question and (2) re-scoring each worker by agreement with the
-// consensus — the one-coin Dawid–Skene fixed point. Returns per-worker
-// estimated accuracies in [0, 1].
-func EstimateAccuracies(answers [][]bool, iterations int) []float64 {
-	if len(answers) == 0 {
-		return nil
-	}
-	nw := len(answers[0])
-	acc := make([]float64, nw)
-	for i := range acc {
-		acc[i] = 0.7 // neutral optimistic prior
-	}
-	if iterations <= 0 {
-		iterations = 10
-	}
-	consensus := make([]bool, len(answers))
-	for it := 0; it < iterations; it++ {
-		// E-step: weighted majority per question. Weights log-odds-like:
-		// acc − 0.5 keeps the math simple and monotone.
-		for q, row := range answers {
-			score := 0.0
-			for w, vote := range row {
-				weight := acc[w] - 0.5
-				if vote {
-					score += weight
-				} else {
-					score -= weight
-				}
-			}
-			consensus[q] = score >= 0
-		}
-		// M-step: accuracy = agreement rate with consensus, smoothed.
-		for w := 0; w < nw; w++ {
-			agree := 0
-			for q, row := range answers {
-				if row[w] == consensus[q] {
-					agree++
-				}
-			}
-			acc[w] = (float64(agree) + 1) / (float64(len(answers)) + 2)
-		}
-	}
-	return acc
 }

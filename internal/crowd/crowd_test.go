@@ -1,7 +1,6 @@
 package crowd
 
 import (
-	"math/rand"
 	"testing"
 
 	"visclean/internal/dataset"
@@ -113,48 +112,5 @@ func TestPanelKClamps(t *testing.T) {
 	p.K = 10 // more than workers: must clamp, not panic
 	if _, ok := p.AnswerT(1, 2); !ok {
 		t.Fatal("clamped panel failed to answer")
-	}
-}
-
-func TestEstimateAccuracies(t *testing.T) {
-	// Synthesize an answer matrix: workers with known accuracies voting
-	// on questions with known truth; estimation must rank workers
-	// correctly and roughly recover the accuracy levels.
-	rng := rand.New(rand.NewSource(6))
-	trueAcc := []float64{0.95, 0.85, 0.6, 0.5}
-	const nq = 500
-	answers := make([][]bool, nq)
-	for q := range answers {
-		truth := rng.Intn(2) == 0
-		row := make([]bool, len(trueAcc))
-		for w, acc := range trueAcc {
-			if rng.Float64() < acc {
-				row[w] = truth
-			} else {
-				row[w] = !truth
-			}
-		}
-		answers[q] = row
-	}
-	est := EstimateAccuracies(answers, 15)
-	if len(est) != len(trueAcc) {
-		t.Fatalf("estimates = %v", est)
-	}
-	for w := 1; w < len(est); w++ {
-		if est[w-1] < est[w]-0.05 {
-			t.Fatalf("worker ranking wrong: %v (true %v)", est, trueAcc)
-		}
-	}
-	if est[0] < 0.85 {
-		t.Fatalf("best worker underestimated: %v", est)
-	}
-	if est[3] > 0.65 {
-		t.Fatalf("random worker overestimated: %v", est)
-	}
-}
-
-func TestEstimateAccuraciesEmpty(t *testing.T) {
-	if out := EstimateAccuracies(nil, 5); out != nil {
-		t.Fatalf("empty matrix estimates = %v", out)
 	}
 }

@@ -1,25 +1,14 @@
 package dataset
 
-import "strings"
-
 // column is the typed storage behind one attribute. Implementations hold
 // flat arrays plus a null bitmap; Table enforces kind checks before
 // calling set/appendVal, so columns trust their inputs.
 type column interface {
-	kind() Kind
 	get(i int) Value
 	isNull(i int) bool
 	set(i int, v Value)
 	appendVal(v Value)
-	// cmp orders two cells with Value.Compare semantics: nulls first,
-	// then by value.
-	cmp(a, b int) int
 	clone() column
-	// permute reorders cells so that new position i holds old cell
-	// idx[i]. len(idx) equals the column length.
-	permute(idx []int)
-	// compact keeps only cells whose keep bit is true, preserving order.
-	compact(keep []bool, kept int)
 }
 
 // floatCol stores a Float column as a flat []float64 plus null bitmap.
@@ -27,8 +16,6 @@ type floatCol struct {
 	vals  []float64
 	nulls bitmap
 }
-
-func (c *floatCol) kind() Kind { return Float }
 
 func (c *floatCol) get(i int) Value {
 	if c.nulls.get(i) {
@@ -57,60 +44,10 @@ func (c *floatCol) appendVal(v Value) {
 	}
 }
 
-func (c *floatCol) cmp(a, b int) int {
-	na, nb := c.nulls.get(a), c.nulls.get(b)
-	switch {
-	case na && nb:
-		return 0
-	case na:
-		return -1
-	case nb:
-		return 1
-	}
-	va, vb := c.vals[a], c.vals[b]
-	switch {
-	case va < vb:
-		return -1
-	case va > vb:
-		return 1
-	default:
-		return 0
-	}
-}
-
 func (c *floatCol) clone() column {
 	vals := make([]float64, len(c.vals))
 	copy(vals, c.vals)
 	return &floatCol{vals: vals, nulls: c.nulls.clone()}
-}
-
-func (c *floatCol) permute(idx []int) {
-	vals := make([]float64, len(c.vals))
-	var nulls bitmap
-	hasNulls := c.nulls.anySet(len(c.vals))
-	for to, from := range idx {
-		vals[to] = c.vals[from]
-		if hasNulls && c.nulls.get(from) {
-			nulls.set(to, true)
-		}
-	}
-	c.vals, c.nulls = vals, nulls
-}
-
-func (c *floatCol) compact(keep []bool, kept int) {
-	vals := make([]float64, 0, kept)
-	var nulls bitmap
-	hasNulls := c.nulls.anySet(len(c.vals))
-	for i, k := range keep {
-		if !k {
-			continue
-		}
-		if hasNulls && c.nulls.get(i) {
-			nulls.set(len(vals), true)
-		}
-		vals = append(vals, c.vals[i])
-	}
-	c.vals, c.nulls = vals, nulls
 }
 
 // stringCol stores a String column as []uint32 codes into an interner.
@@ -123,8 +60,6 @@ type stringCol struct {
 }
 
 func newStringCol() *stringCol { return &stringCol{dict: newInterner()} }
-
-func (c *stringCol) kind() Kind { return String }
 
 func (c *stringCol) get(i int) Value {
 	if c.nulls.get(i) {
@@ -174,23 +109,6 @@ func (c *stringCol) appendVal(v Value) {
 	c.codes = append(c.codes, c.codeFor(v.str))
 }
 
-func (c *stringCol) cmp(a, b int) int {
-	na, nb := c.nulls.get(a), c.nulls.get(b)
-	switch {
-	case na && nb:
-		return 0
-	case na:
-		return -1
-	case nb:
-		return 1
-	}
-	ca, cb := c.codes[a], c.codes[b]
-	if ca == cb {
-		return 0
-	}
-	return strings.Compare(c.dict.strs[ca], c.dict.strs[cb])
-}
-
 func (c *stringCol) clone() column {
 	codes := make([]uint32, len(c.codes))
 	copy(codes, c.codes)
@@ -200,35 +118,6 @@ func (c *stringCol) clone() column {
 	// concurrent clones of one table do not race.
 	c.dict.frozen.Store(true)
 	return &stringCol{codes: codes, nulls: c.nulls.clone(), dict: c.dict}
-}
-
-func (c *stringCol) permute(idx []int) {
-	codes := make([]uint32, len(c.codes))
-	var nulls bitmap
-	hasNulls := c.nulls.anySet(len(c.codes))
-	for to, from := range idx {
-		codes[to] = c.codes[from]
-		if hasNulls && c.nulls.get(from) {
-			nulls.set(to, true)
-		}
-	}
-	c.codes, c.nulls = codes, nulls
-}
-
-func (c *stringCol) compact(keep []bool, kept int) {
-	codes := make([]uint32, 0, kept)
-	var nulls bitmap
-	hasNulls := c.nulls.anySet(len(c.codes))
-	for i, k := range keep {
-		if !k {
-			continue
-		}
-		if hasNulls && c.nulls.get(i) {
-			nulls.set(len(codes), true)
-		}
-		codes = append(codes, c.codes[i])
-	}
-	c.codes, c.nulls = codes, nulls
 }
 
 func newColumn(k Kind) column {

@@ -6,49 +6,6 @@ import (
 	"testing"
 )
 
-func TestDeleteIDsBatch(t *testing.T) {
-	tbl := samplePubs(t)
-	// Delete rows 1 and 3 in one pass; include an unknown and a
-	// duplicate id, which must be ignored.
-	removed := tbl.DeleteIDs([]TupleID{tbl.ID(3), tbl.ID(1), tbl.ID(1), 9999})
-	if removed != 2 {
-		t.Fatalf("removed = %d, want 2", removed)
-	}
-	if tbl.NumRows() != 3 {
-		t.Fatalf("rows = %d, want 3", tbl.NumRows())
-	}
-	// Survivors keep their order and id→row mapping.
-	wantTitles := []string{"NADEEF", "NADEEF", "SeeDB"}
-	wantVenues := []string{"ACM SIGMOD", "SIGMOD", "Very Large Data Bases"}
-	for i := 0; i < tbl.NumRows(); i++ {
-		if s, _ := tbl.Get(i, 0).Text(); s != wantTitles[i] {
-			t.Fatalf("row %d title = %q, want %q", i, s, wantTitles[i])
-		}
-		if s, _ := tbl.Get(i, 1).Text(); s != wantVenues[i] {
-			t.Fatalf("row %d venue = %q, want %q", i, s, wantVenues[i])
-		}
-		if got, ok := tbl.RowIndex(tbl.ID(i)); !ok || got != i {
-			t.Fatalf("id index mismatch at row %d", i)
-		}
-	}
-	if tbl.DeleteIDs(nil) != 0 {
-		t.Fatal("empty batch should remove nothing")
-	}
-}
-
-func TestDeleteIDsPreservesNulls(t *testing.T) {
-	tbl := samplePubs(t)
-	// Row 3 (SeeDB, VLDB, null) survives deleting rows 0..2; the null
-	// must follow its row through the compaction.
-	tbl.DeleteIDs([]TupleID{tbl.ID(0), tbl.ID(1), tbl.ID(2)})
-	if !tbl.Get(0, 2).IsNull() {
-		t.Fatal("null cell lost its position after compaction")
-	}
-	if f, _ := tbl.Get(1, 2).Float(); f != 55 {
-		t.Fatalf("survivor value = %v, want 55", f)
-	}
-}
-
 // TestCloneDictionaryCopyOnWrite pins the interning contract: clones
 // share the string dictionary read-only, and the first write that needs
 // a new code copies it, so neither side ever observes the other's

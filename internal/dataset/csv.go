@@ -101,7 +101,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("dataset: write csv header: %w", err)
 	}
 	rec := make([]string, len(t.schema))
-	for i := range t.ids {
+	for i := 0; i < t.rows; i++ {
 		for c := range t.schema {
 			rec[c] = t.cols[c].get(i).String()
 		}

@@ -35,8 +35,8 @@ func (t *Table) Fingerprint() string {
 		writeStr(col.Name)
 		writeUint(uint64(col.Kind))
 	}
-	writeUint(uint64(len(t.ids)))
-	for _, id := range t.ids {
+	writeUint(uint64(t.rows))
+	for id := 0; id < t.rows; id++ {
 		writeUint(uint64(id))
 	}
 	for _, col := range t.cols {

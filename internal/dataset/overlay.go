@@ -3,18 +3,15 @@ package dataset
 import "fmt"
 
 // Overlay is a copy-on-write view over a base Table: per-column sparse
-// cell patches plus row tombstones. Creating one is O(columns) and every
-// edit is O(1), so hypothetical repairs, snapshot deltas and what-if
-// views cost O(touched cells) instead of the O(table) a deep Clone
-// pays. The base table must not be mutated while overlays over it are
-// alive; the overlay itself is safe for concurrent reads after the last
-// Set/Delete (the same freeze-then-fan-out discipline the pipeline
-// already applies to clusters and standardizers).
+// cell patches. Creating one is O(columns) and every edit is O(1), so
+// hypothetical repairs cost O(touched cells) instead of the O(table) a
+// deep Clone pays. The base table must not be mutated while overlays
+// over it are alive; the overlay itself is safe for concurrent reads
+// after the last Set (the same freeze-then-fan-out discipline the
+// pipeline already applies to clusters and standardizers).
 type Overlay struct {
 	base    *Table
 	patches []map[TupleID]Value // per column, lazily allocated
-	tombs   map[TupleID]struct{}
-	touched int
 }
 
 // Overlay returns an empty copy-on-write view over the table.
@@ -22,53 +19,20 @@ func (t *Table) Overlay() *Overlay {
 	return &Overlay{base: t, patches: make([]map[TupleID]Value, len(t.cols))}
 }
 
-// Base returns the table the overlay patches.
-func (o *Overlay) Base() *Table { return o.base }
-
-// Touched returns the number of patched cells plus tombstoned rows —
-// the overlay's size, and the cost Materialize adds over a plain Clone.
-func (o *Overlay) Touched() int { return o.touched }
-
 // Set patches one cell, addressed by tuple id, enforcing the column
 // kind. The base table is never written.
 func (o *Overlay) Set(id TupleID, c int, v Value) error {
 	if v.Kind() != o.base.schema[c].Kind {
 		return fmt.Errorf("dataset: column %q expects %v, got %v", o.base.schema[c].Name, o.base.schema[c].Kind, v.Kind())
 	}
-	if o.base.rowOf(id) == noRow {
+	if _, ok := o.base.RowIndex(id); !ok {
 		return fmt.Errorf("dataset: no tuple with id %d", id)
 	}
 	if o.patches[c] == nil {
 		o.patches[c] = make(map[TupleID]Value)
 	}
-	if _, seen := o.patches[c][id]; !seen {
-		o.touched++
-	}
 	o.patches[c][id] = v
 	return nil
-}
-
-// Delete tombstones a row. It reports whether the id was present and
-// not already tombstoned.
-func (o *Overlay) Delete(id TupleID) bool {
-	if o.base.rowOf(id) == noRow {
-		return false
-	}
-	if o.tombs == nil {
-		o.tombs = make(map[TupleID]struct{})
-	}
-	if _, dead := o.tombs[id]; dead {
-		return false
-	}
-	o.tombs[id] = struct{}{}
-	o.touched++
-	return true
-}
-
-// Deleted reports whether the row is tombstoned.
-func (o *Overlay) Deleted(id TupleID) bool {
-	_, dead := o.tombs[id]
-	return dead
 }
 
 // Patch returns the patched value for a cell, if any. It does not
@@ -81,39 +45,4 @@ func (o *Overlay) Patch(id TupleID, c int) (Value, bool) {
 	}
 	v, ok := m[id]
 	return v, ok
-}
-
-// Get reads a cell through the overlay: tombstoned rows are absent,
-// patched cells win over the base.
-func (o *Overlay) Get(id TupleID, c int) (Value, bool) {
-	if o.Deleted(id) {
-		return Value{}, false
-	}
-	if v, ok := o.Patch(id, c); ok {
-		return v, true
-	}
-	return o.base.GetByID(id, c)
-}
-
-// Materialize applies the overlay onto a clone of the base table:
-// equivalent to Clone + Set per patch + DeleteIDs of the tombstones.
-// The property suite asserts this equivalence over randomized edit
-// scripts.
-func (o *Overlay) Materialize() *Table {
-	out := o.base.Clone()
-	for c, m := range o.patches {
-		for id, v := range m {
-			if err := out.SetByID(id, c, v); err != nil {
-				panic(err) // unreachable: Set validated id and kind
-			}
-		}
-	}
-	if len(o.tombs) > 0 {
-		dead := make([]TupleID, 0, len(o.tombs))
-		for id := range o.tombs {
-			dead = append(dead, id)
-		}
-		out.DeleteIDs(dead)
-	}
-	return out
 }

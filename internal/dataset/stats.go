@@ -1,100 +1,5 @@
 package dataset
 
-import (
-	"math"
-	"sort"
-)
-
-// ColumnStats summarizes one column: null rate for any kind, plus moments
-// and order statistics for numeric columns. The generators use it to
-// verify that synthetic datasets hit the paper's Table IV error rates.
-type ColumnStats struct {
-	Name     string
-	Kind     Kind
-	Rows     int
-	Nulls    int
-	Distinct int
-	// The fields below are meaningful only for Float columns.
-	Min, Max, Mean, Stddev, Median float64
-}
-
-// NullRate returns the fraction of null cells.
-func (s ColumnStats) NullRate() float64 {
-	if s.Rows == 0 {
-		return 0
-	}
-	return float64(s.Nulls) / float64(s.Rows)
-}
-
-// Stats computes ColumnStats for the column at index c.
-func (t *Table) Stats(c int) ColumnStats {
-	s := ColumnStats{Name: t.schema[c].Name, Kind: t.schema[c].Kind, Rows: len(t.ids)}
-	switch col := t.cols[c].(type) {
-	case *stringCol:
-		seen := make([]bool, len(col.dict.strs))
-		for i, code := range col.codes {
-			if col.nulls.get(i) {
-				s.Nulls++
-				continue
-			}
-			if !seen[code] {
-				seen[code] = true
-				s.Distinct++
-			}
-		}
-		return s
-	case *floatCol:
-		// Distinct counts formatted values, matching the historical
-		// row-store semantics (e.g. 0 and -0 render differently).
-		distinct := make(map[float64]struct{}, 64)
-		sawNegZero, sawPosZero := false, false
-		nums := make([]float64, 0, len(col.vals))
-		for i, f := range col.vals {
-			if col.nulls.get(i) {
-				s.Nulls++
-				continue
-			}
-			if f == 0 {
-				if math.Signbit(f) {
-					sawNegZero = true
-				} else {
-					sawPosZero = true
-				}
-			}
-			distinct[f] = struct{}{}
-			nums = append(nums, f)
-		}
-		s.Distinct = len(distinct)
-		if sawNegZero && sawPosZero {
-			s.Distinct++
-		}
-		if len(nums) == 0 {
-			return s
-		}
-		sort.Float64s(nums)
-		s.Min, s.Max = nums[0], nums[len(nums)-1]
-		var sum float64
-		for _, f := range nums {
-			sum += f
-		}
-		s.Mean = sum / float64(len(nums))
-		var ss float64
-		for _, f := range nums {
-			d := f - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(len(nums)))
-		mid := len(nums) / 2
-		if len(nums)%2 == 1 {
-			s.Median = nums[mid]
-		} else {
-			s.Median = (nums[mid-1] + nums[mid]) / 2
-		}
-		return s
-	}
-	return s
-}
-
 // DistinctStrings returns the distinct non-null string values of column c
 // with their frequencies. The attribute-duplicate detector iterates over
 // this instead of raw rows. On the columnar store this is one pass over
@@ -131,8 +36,10 @@ func (t *Table) NumericColumn(c int) (vals []float64, ids []TupleID) {
 	if !col.nulls.anySet(len(col.vals)) {
 		vals = make([]float64, len(col.vals))
 		copy(vals, col.vals)
-		ids = make([]TupleID, len(t.ids))
-		copy(ids, t.ids)
+		ids = make([]TupleID, len(col.vals))
+		for i := range ids {
+			ids[i] = TupleID(i)
+		}
 		return vals, ids
 	}
 	for i, f := range col.vals {
@@ -140,7 +47,7 @@ func (t *Table) NumericColumn(c int) (vals []float64, ids []TupleID) {
 			continue
 		}
 		vals = append(vals, f)
-		ids = append(ids, t.ids[i])
+		ids = append(ids, TupleID(i))
 	}
 	return vals, ids
 }
@@ -149,9 +56,9 @@ func (t *Table) NumericColumn(c int) (vals []float64, ids []TupleID) {
 func (t *Table) MissingIDs(c int) []TupleID {
 	var out []TupleID
 	col := t.cols[c]
-	for i := range t.ids {
+	for i := 0; i < t.rows; i++ {
 		if col.isNull(i) {
-			out = append(out, t.ids[i])
+			out = append(out, TupleID(i))
 		}
 	}
 	return out

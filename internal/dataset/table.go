@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -49,29 +48,25 @@ func (s Schema) Clone() Schema {
 	return out
 }
 
-// TupleID identifies a tuple for the lifetime of a Table and all tables
-// derived from it (clones, filtered views). IDs are assigned once at
-// insertion and survive row reordering, so the ERG, the oracle's ground
-// truth and the cleaning models can all refer to the same tuple.
+// TupleID identifies a tuple: it is the tuple's row position in its
+// Table, assigned at insertion. A table only grows, so an id never
+// moves, and a clone keeps every id of its source, so the ERG, the
+// oracle's ground truth and the cleaning models can all refer to the
+// same tuple.
 type TupleID int
-
-// noRow marks an absent id in the id→row index.
-const noRow = int32(-1)
 
 // Table is an in-memory relation stored column-wise: a Float column is a
 // flat []float64 plus null bitmap, a String column is []uint32 codes
 // into a per-column dictionary shared read-only by clones (see
-// column.go). The id→row index is a flat array, not a map, because ids
-// are dense by construction. Table is not safe for concurrent mutation;
-// the pipeline clones tables (or layers an Overlay) before hypothetical
-// repairs.
+// column.go). Rows are only ever appended, so a tuple id resolves to
+// its row by a bounds check alone. Table is not safe for concurrent
+// mutation; the pipeline clones tables (or layers an Overlay) before
+// hypothetical repairs.
 type Table struct {
 	schema Schema
 	colIdx map[string]int // memoized Schema.Index
 	cols   []column
-	ids    []TupleID
-	nextID TupleID
-	byID   []int32 // id → row index, noRow when absent
+	rows   int
 }
 
 // NewTable creates an empty table. It panics on an invalid schema, which
@@ -92,7 +87,7 @@ func NewTable(schema Schema) *Table {
 func (t *Table) Schema() Schema { return t.schema }
 
 // NumRows returns the number of tuples.
-func (t *Table) NumRows() int { return len(t.ids) }
+func (t *Table) NumRows() int { return t.rows }
 
 // NumCols returns the number of attributes.
 func (t *Table) NumCols() int { return len(t.schema) }
@@ -106,14 +101,6 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// rowOf resolves an id to its row index, or noRow.
-func (t *Table) rowOf(id TupleID) int32 {
-	if id < 0 || int(id) >= len(t.byID) {
-		return noRow
-	}
-	return t.byID[id]
-}
-
 // Append adds a tuple and returns its new TupleID. The row is copied
 // into the column arrays.
 func (t *Table) Append(row []Value) (TupleID, error) {
@@ -125,17 +112,11 @@ func (t *Table) Append(row []Value) (TupleID, error) {
 			return 0, fmt.Errorf("dataset: column %q expects %v, got %v", t.schema[i].Name, t.schema[i].Kind, v.Kind())
 		}
 	}
-	id := t.nextID
-	t.nextID++
 	for i, v := range row {
 		t.cols[i].appendVal(v)
 	}
-	t.ids = append(t.ids, id)
-	for int(id) >= len(t.byID) {
-		t.byID = append(t.byID, noRow)
-	}
-	t.byID[id] = int32(len(t.ids) - 1)
-	return id, nil
+	t.rows++
+	return TupleID(t.rows - 1), nil
 }
 
 // MustAppend is Append for statically known-good rows (tests, generators).
@@ -147,19 +128,14 @@ func (t *Table) MustAppend(row []Value) TupleID {
 	return id
 }
 
-// IDs returns the tuple ids in row order. Callers must not mutate it.
-func (t *Table) IDs() []TupleID { return t.ids }
-
 // ID returns the tuple id of the i-th row.
-func (t *Table) ID(i int) TupleID { return t.ids[i] }
+func (t *Table) ID(i int) TupleID { return TupleID(i) }
 
-// RowIndex returns the current row position of a tuple id.
+// RowIndex returns the row position of a tuple id, reporting whether a
+// tuple has it. This bounds check is all that stands between a bad id
+// and the column arrays.
 func (t *Table) RowIndex(id TupleID) (int, bool) {
-	i := t.rowOf(id)
-	if i == noRow {
-		return 0, false
-	}
-	return int(i), true
+	return int(id), id >= 0 && int(id) < t.rows
 }
 
 // Row materializes the i-th row as a fresh []Value. Callers must not
@@ -175,11 +151,11 @@ func (t *Table) Row(i int) []Value {
 
 // RowByID returns the row for a tuple id. See Row.
 func (t *Table) RowByID(id TupleID) ([]Value, bool) {
-	i := t.rowOf(id)
-	if i == noRow {
+	i, ok := t.RowIndex(id)
+	if !ok {
 		return nil, false
 	}
-	return t.Row(int(i)), true
+	return t.Row(i), true
 }
 
 // Get returns the cell at row i, column c.
@@ -187,11 +163,11 @@ func (t *Table) Get(i, c int) Value { return t.cols[c].get(i) }
 
 // GetByID returns the cell for a tuple id and column index.
 func (t *Table) GetByID(id TupleID, c int) (Value, bool) {
-	i := t.rowOf(id)
-	if i == noRow {
+	i, ok := t.RowIndex(id)
+	if !ok {
 		return Value{}, false
 	}
-	return t.cols[c].get(int(i)), true
+	return t.cols[c].get(i), true
 }
 
 // Set replaces the cell at row i, column c, enforcing the column kind.
@@ -205,62 +181,17 @@ func (t *Table) Set(i, c int, v Value) error {
 
 // SetByID replaces a cell addressed by tuple id.
 func (t *Table) SetByID(id TupleID, c int, v Value) error {
-	i := t.rowOf(id)
-	if i == noRow {
+	i, ok := t.RowIndex(id)
+	if !ok {
 		return fmt.Errorf("dataset: no tuple with id %d", id)
 	}
-	return t.Set(int(i), c, v)
-}
-
-// DeleteByID removes a tuple. Row order of the survivors is preserved.
-// Each call compacts the column arrays; deleting many tuples should go
-// through DeleteIDs, which compacts once for the whole batch.
-func (t *Table) DeleteByID(id TupleID) bool {
-	if t.rowOf(id) == noRow {
-		return false
-	}
-	return t.DeleteIDs([]TupleID{id}) == 1
-}
-
-// DeleteIDs removes a batch of tuples in one compaction pass over the
-// column arrays and the id index — O(rows + batch) total instead of
-// O(rows) per deletion. Unknown and duplicate ids are ignored; the
-// number of tuples actually removed is returned.
-func (t *Table) DeleteIDs(ids []TupleID) int {
-	keep := make([]bool, len(t.ids))
-	for i := range keep {
-		keep[i] = true
-	}
-	removed := 0
-	for _, id := range ids {
-		if i := t.rowOf(id); i != noRow && keep[i] {
-			keep[i] = false
-			t.byID[id] = noRow
-			removed++
-		}
-	}
-	if removed == 0 {
-		return 0
-	}
-	kept := len(t.ids) - removed
-	for _, col := range t.cols {
-		col.compact(keep, kept)
-	}
-	out := make([]TupleID, 0, kept)
-	for i, k := range keep {
-		if k {
-			t.byID[t.ids[i]] = int32(len(out))
-			out = append(out, t.ids[i])
-		}
-	}
-	t.ids = out
-	return removed
+	return t.Set(i, c, v)
 }
 
 // Clone returns a deep copy sharing no mutable state with the receiver:
-// column arrays and the id index are copied, string dictionaries are
-// shared copy-on-write (frozen until either side needs a new code).
-// Tuple ids are preserved, so a clone can be repaired hypothetically and
+// column arrays are copied, string dictionaries are shared
+// copy-on-write (frozen until either side needs a new code). Tuple ids
+// are row positions, so a clone can be repaired hypothetically and
 // compared against the original tuple-by-tuple. For hypothetical repairs
 // that touch few cells, Overlay is O(touched) instead of O(table).
 func (t *Table) Clone() *Table {
@@ -268,9 +199,7 @@ func (t *Table) Clone() *Table {
 		schema: t.schema.Clone(),
 		colIdx: make(map[string]int, len(t.colIdx)),
 		cols:   make([]column, len(t.cols)),
-		ids:    make([]TupleID, len(t.ids)),
-		nextID: t.nextID,
-		byID:   make([]int32, len(t.byID)),
+		rows:   t.rows,
 	}
 	for name, i := range t.colIdx {
 		cp.colIdx[name] = i
@@ -278,74 +207,7 @@ func (t *Table) Clone() *Table {
 	for i, col := range t.cols {
 		cp.cols[i] = col.clone()
 	}
-	copy(cp.ids, t.ids)
-	copy(cp.byID, t.byID)
 	return cp
-}
-
-// Filter returns a new table containing the rows for which keep returns
-// true. Tuple ids are preserved.
-func (t *Table) Filter(keep func(row []Value) bool) *Table {
-	out := NewTable(t.schema)
-	out.nextID = t.nextID
-	out.byID = make([]int32, len(t.byID))
-	for i := range out.byID {
-		out.byID[i] = noRow
-	}
-	for i := range t.ids {
-		row := t.Row(i)
-		if !keep(row) {
-			continue
-		}
-		for c, v := range row {
-			out.cols[c].appendVal(v)
-		}
-		out.ids = append(out.ids, t.ids[i])
-		out.byID[t.ids[i]] = int32(len(out.ids) - 1)
-	}
-	return out
-}
-
-// SortBy stably sorts rows by the given column, ascending unless desc.
-func (t *Table) SortBy(col int, desc bool) {
-	idx := make([]int, len(t.ids))
-	for i := range idx {
-		idx[i] = i
-	}
-	c := t.cols[col]
-	sort.SliceStable(idx, func(a, b int) bool {
-		r := c.cmp(idx[a], idx[b])
-		if desc {
-			return r > 0
-		}
-		return r < 0
-	})
-	for _, cl := range t.cols {
-		cl.permute(idx)
-	}
-	ids := make([]TupleID, len(t.ids))
-	for to, from := range idx {
-		ids[to] = t.ids[from]
-	}
-	t.ids = ids
-	for i, id := range t.ids {
-		t.byID[id] = int32(i)
-	}
-}
-
-// ConcatRow joins all cells of a row into one normalized string. The
-// imputation and outlier modules use this as the record-level text for
-// similarity search, following §IV ("concatenate all attributes ... and
-// then utilize the string similarity score").
-func (t *Table) ConcatRow(i int) string {
-	var b strings.Builder
-	for c, col := range t.cols {
-		if c > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(col.get(i).String())
-	}
-	return b.String()
 }
 
 // String renders a small table for debugging and examples.
@@ -358,7 +220,7 @@ func (t *Table) String() string {
 		b.WriteString(c.Name)
 	}
 	b.WriteByte('\n')
-	for i := range t.ids {
+	for i := 0; i < t.rows; i++ {
 		for c := range t.schema {
 			if c > 0 {
 				b.WriteString(" | ")

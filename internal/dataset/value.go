@@ -1,6 +1,7 @@
 // Package dataset provides the typed relational table substrate used by
 // every other VisClean component: schemas, nullable cells, stable tuple
-// identifiers, CSV round-tripping and simple column statistics.
+// identifiers, CSV round-tripping and per-column scans (distinct strings,
+// numeric values, missing cells).
 //
 // The paper (§II) operates over a single relation D whose rows carry data
 // errors (tuple/attribute duplicates, missing values, outliers). Cleaning
@@ -108,33 +109,6 @@ func (v Value) Equal(o Value) bool {
 		return v.num == o.num
 	}
 	return v.str == o.str
-}
-
-// Compare orders two cells of the same kind: nulls first, then by value.
-// It panics if kinds differ, which indicates a schema bug.
-func (v Value) Compare(o Value) int {
-	if v.kind != o.kind {
-		panic(fmt.Sprintf("dataset: comparing %v cell with %v cell", v.kind, o.kind))
-	}
-	switch {
-	case v.null && o.null:
-		return 0
-	case v.null:
-		return -1
-	case o.null:
-		return 1
-	}
-	if v.kind == Float {
-		switch {
-		case v.num < o.num:
-			return -1
-		case v.num > o.num:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(v.str, o.str)
 }
 
 // ParseValue parses a CSV field into a cell of the wanted kind. Empty

@@ -143,7 +143,7 @@ func clusterInto(c *Clusters, sorted []ScoredPair, confirmed, split []Pair) {
 }
 
 // Freeze settles the underlying union-find (full path compression) so
-// subsequent Same/Groups/ClusterOf calls perform no writes — safe for
+// subsequent Same/Groups calls perform no writes — safe for
 // concurrent readers until the next merge.
 func (c *Clusters) Freeze() { c.uf.Compress() }
 
@@ -329,21 +329,4 @@ func (r *SplitReplay) Split(gi int, members []dataset.TupleID, p Pair) (parts []
 	}
 	clusterInto(c, r.sorted[gi], r.confirmed[gi], []Pair{p})
 	return c.Groups(1), true
-}
-
-// ClusterOf returns all members of the tuple's entity, sorted.
-func (c *Clusters) ClusterOf(id dataset.TupleID) []dataset.TupleID {
-	i, ok := c.index[id]
-	if !ok {
-		return nil
-	}
-	root := c.uf.Find(i)
-	var out []dataset.TupleID
-	for j := range c.ids {
-		if c.uf.Find(j) == root {
-			out = append(out, c.ids[j])
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

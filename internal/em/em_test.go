@@ -135,8 +135,8 @@ func TestMatcherHeuristicAndLabels(t *testing.T) {
 	m := NewMatcher(tbl, rf.DefaultConfig())
 	p01 := MakePair(tbl.ID(0), tbl.ID(1))
 	p03 := MakePair(tbl.ID(0), tbl.ID(3))
-	if m.Trained() {
-		t.Fatal("untrained matcher reports trained")
+	if m.forest != nil {
+		t.Fatal("untrained matcher has a forest")
 	}
 	if m.Prob(tbl, p01) <= m.Prob(tbl, p03) {
 		t.Fatal("heuristic should rank same-title pair above different-title pair")
@@ -162,7 +162,7 @@ func TestMatcherTrainAndPredict(t *testing.T) {
 	if err := m.Train(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Trained() {
+	if m.forest == nil {
 		t.Fatal("expected trained forest")
 	}
 	match := m.Prob(tbl, MakePair(tbl.ID(1), tbl.ID(2)))    // NADEEF pair
@@ -179,7 +179,7 @@ func TestMatcherSingleClassKeepsHeuristic(t *testing.T) {
 	if err := m.Train(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if m.Trained() {
+	if m.forest != nil {
 		t.Fatal("single-class training should not produce a forest")
 	}
 }
@@ -257,20 +257,6 @@ func TestBuildClustersConstraints(t *testing.T) {
 	})
 	if !c2.Same(tbl.ID(0), tbl.ID(1)) {
 		t.Fatal("confirmed pair not merged")
-	}
-}
-
-func TestClusterOf(t *testing.T) {
-	tbl := pubsTable(t)
-	c := BuildClustersSorted(tbl, nil, ClusterConfig{
-		Confirmed: []Pair{MakePair(tbl.ID(0), tbl.ID(1)), MakePair(tbl.ID(1), tbl.ID(2))},
-	})
-	got := c.ClusterOf(tbl.ID(2))
-	if len(got) != 3 {
-		t.Fatalf("cluster = %v", got)
-	}
-	if c.ClusterOf(dataset.TupleID(12345)) != nil {
-		t.Fatal("unknown tuple should have nil cluster")
 	}
 }
 

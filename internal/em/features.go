@@ -140,9 +140,9 @@ func (fe *FeatureExtractor) FeaturesOf(t *dataset.Table, pairs []Pair, workers i
 		ia, okA := t.RowIndex(pairs[i].A)
 		ib, okB := t.RowIndex(pairs[i].B)
 		if !okA || !okB {
-			// A vanished tuple (merged away) matches nothing; the zero
-			// vector is the most dissimilar one, so stale questions
-			// degrade gracefully instead of panicking.
+			// An id past the table names no tuple and matches nothing;
+			// the zero vector is the most dissimilar one, so a bad pair
+			// degrades gracefully instead of panicking.
 			return
 		}
 		slots := b.slots[i*nStr : (i+1)*nStr]

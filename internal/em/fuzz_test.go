@@ -13,9 +13,7 @@ import (
 // of spec (at most 12), cells "name|venue|score" where "~" is a null
 // string and a score that does not parse is a null number ("NaN" parses
 // and dataset.Num stores it as null; "-0", "+Inf" and "-Inf" stay).
-// Row del, when it exists, is then deleted, so its id vanishes from the
-// middle of the id range.
-func fuzzFeatureTable(spec string, del uint8) *dataset.Table {
+func fuzzFeatureTable(spec string) *dataset.Table {
 	tbl := dataset.NewTable(dataset.Schema{
 		{Name: "Name", Kind: dataset.String},
 		{Name: "Venue", Kind: dataset.String},
@@ -43,9 +41,6 @@ func fuzzFeatureTable(spec string, del uint8) *dataset.Table {
 		}
 		tbl.MustAppend(row)
 	}
-	if int(del) < tbl.NumRows() {
-		tbl.DeleteByID(tbl.ID(int(del)))
-	}
 	return tbl
 }
 
@@ -53,12 +48,12 @@ func fuzzFeatureTable(spec string, del uint8) *dataset.Table {
 // per-pair featuresRef bit for bit on small tables with empty, null,
 // duplicated, case-variant and non-ASCII strings and null, ±0 and ±Inf
 // numbers. Each byte pair of pairs is one tuple pair; ids run two past
-// the table, so vanished tuples occur besides the deleted row. The list
+// the table, so pairs name absent tuples too. The list
 // is then doubled until it spans more than one fan-out block, so the
 // batch always repeats pairs and the 4-worker run splits it.
 func FuzzFeaturesOf(f *testing.F) {
-	f.Fuzz(func(t *testing.T, spec string, pairs []byte, del uint8) {
-		tbl := fuzzFeatureTable(spec, del)
+	f.Fuzz(func(t *testing.T, spec string, pairs []byte) {
+		tbl := fuzzFeatureTable(spec)
 		span := tbl.NumRows() + 3
 		var batch []Pair
 		for i := 0; i+1 < len(pairs) && len(batch) < 64; i += 2 {

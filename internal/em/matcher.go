@@ -89,9 +89,6 @@ func (m *Matcher) Train(t *dataset.Table) error {
 	return nil
 }
 
-// Trained reports whether a forest is active (vs. the bootstrap heuristic).
-func (m *Matcher) Trained() bool { return m.forest != nil }
-
 // Prob returns the matching probability of a pair. Labeled pairs return
 // their label (1 or 0) — the user's answer is ground truth from the
 // system's perspective. Otherwise the forest predicts; before training, a

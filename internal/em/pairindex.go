@@ -8,8 +8,8 @@ import (
 
 // CandidateIndex is a static inverted view of a blocking candidate list:
 // for each tuple, the positions of the candidates touching it, in list
-// order, stored as one CSR array indexed by tuple id (ids are dense, as
-// in the table's own id→row index). The candidate list and the attribute
+// order, stored as one CSR array indexed by tuple id (a tuple id is its
+// row position, so ids are dense). The candidate list and the attribute
 // cells it references are fixed for a session's lifetime (cleaning
 // rewrites only the measure column), so the index is built once and
 // replaces the per-iteration full scans of ERG construction

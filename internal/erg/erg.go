@@ -269,39 +269,6 @@ func (g *Graph) SubgraphBenefit(vertices []dataset.TupleID) float64 {
 	return total
 }
 
-// Connected reports whether the induced subgraph on the vertex set is
-// connected (a requirement for a CQG). Empty sets are not connected;
-// singletons are.
-func (g *Graph) Connected(vertices []dataset.TupleID) bool {
-	if len(vertices) == 0 {
-		return false
-	}
-	in := make(map[dataset.TupleID]struct{}, len(vertices))
-	for _, v := range vertices {
-		if !g.HasVertex(v) {
-			return false
-		}
-		in[v] = struct{}{}
-	}
-	seen := map[dataset.TupleID]struct{}{vertices[0]: {}}
-	stack := []dataset.TupleID{vertices[0]}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range g.Neighbors(v) {
-			if _, member := in[nb]; !member {
-				continue
-			}
-			if _, done := seen[nb]; done {
-				continue
-			}
-			seen[nb] = struct{}{}
-			stack = append(stack, nb)
-		}
-	}
-	return len(seen) == len(in)
-}
-
 // InducedSubgraph materializes the CQG on the vertex set, copying edges
 // and repairs. Vertices missing from g are ignored.
 func (g *Graph) InducedSubgraph(vertices []dataset.TupleID) *Graph {

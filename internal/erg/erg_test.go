@@ -123,28 +123,6 @@ func TestSubgraphBenefitCountsVertexOnce(t *testing.T) {
 	}
 }
 
-func TestConnected(t *testing.T) {
-	g := fig4(t)
-	cases := []struct {
-		vs   []dataset.TupleID
-		want bool
-	}{
-		{ids(1, 2, 3), true},
-		{ids(1, 2), true},
-		{ids(1), true},
-		{ids(1, 7), false},
-		{ids(1, 2, 3, 7, 8), false},
-		{ids(7, 8), true},
-		{nil, false},
-		{ids(99), false},
-	}
-	for _, c := range cases {
-		if got := g.Connected(c.vs); got != c.want {
-			t.Errorf("Connected(%v) = %v, want %v", c.vs, got, c.want)
-		}
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := fig4(t)
 	sub := g.InducedSubgraph(ids(1, 2, 3))

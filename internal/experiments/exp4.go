@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -143,18 +142,4 @@ func Exp4ComponentTime(env *Env, taskIDs []string) (string, map[string]pipeline.
 			avg.Train.Round(time.Microsecond))
 	}
 	return b.String(), out, nil
-}
-
-// randKSubset is kept for harness reuse: a deterministic subset of tasks.
-func randKSubset(ids []string, k int, seed int64) []string {
-	if k >= len(ids) {
-		return ids
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(ids))
-	out := make([]string, 0, k)
-	for _, i := range perm[:k] {
-		out = append(out, ids[i])
-	}
-	return out
 }

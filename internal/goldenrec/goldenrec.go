@@ -382,34 +382,3 @@ func better(a, b string, freq map[string]int) bool {
 	}
 	return a < b
 }
-
-// Apply rewrites every value of column col in t to its canonical form.
-// It returns the number of cells changed.
-func (s *Standardizer) Apply(t *dataset.Table, col int) int {
-	changed := 0
-	for i := 0; i < t.NumRows(); i++ {
-		v, ok := t.Get(i, col).Text()
-		if !ok {
-			continue
-		}
-		canon := s.Canonical(v)
-		if canon == v {
-			continue
-		}
-		if err := t.Set(i, col, dataset.Str(canon)); err == nil {
-			changed++
-		}
-	}
-	return changed
-}
-
-// Classes returns the non-trivial synonym classes (size >= 2), each
-// sorted, deterministically ordered — for rendering and tests.
-func (s *Standardizer) Classes() [][]string {
-	var out [][]string
-	for _, l := range s.members {
-		out = append(out, append([]string(nil), l...))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}

@@ -142,38 +142,6 @@ func TestStandardizerTieBreaks(t *testing.T) {
 	}
 }
 
-func TestStandardizerApply(t *testing.T) {
-	tbl := dataset.NewTable(dataset.Schema{{Name: "Venue", Kind: dataset.String}})
-	venues := []string{"SIGMOD", "ACM SIGMOD", "SIGMOD", "VLDB"}
-	for _, v := range venues {
-		tbl.MustAppend([]dataset.Value{dataset.Str(v)})
-	}
-	s := NewStandardizer(tbl, 0)
-	s.Approve("SIGMOD", "ACM SIGMOD")
-	changed := s.Apply(tbl, 0)
-	if changed != 1 {
-		t.Fatalf("changed = %d, want 1", changed)
-	}
-	got := tbl.DistinctStrings(0)
-	if got["SIGMOD"] != 3 || got["VLDB"] != 1 || len(got) != 2 {
-		t.Fatalf("after apply: %v", got)
-	}
-}
-
-func TestStandardizerClasses(t *testing.T) {
-	tbl := dataset.NewTable(dataset.Schema{{Name: "V", Kind: dataset.String}})
-	tbl.MustAppend([]dataset.Value{dataset.Str("a")})
-	s := NewStandardizer(tbl, 0)
-	s.Approve("a", "b")
-	s.Approve("c", "d")
-	s.Approve("b", "e")
-	classes := s.Classes()
-	want := [][]string{{"a", "b", "e"}, {"c", "d"}}
-	if !reflect.DeepEqual(classes, want) {
-		t.Fatalf("classes = %v, want %v", classes, want)
-	}
-}
-
 func TestCanonicalContainmentElection(t *testing.T) {
 	// "SIGMOD'13" is more frequent, but "SIGMOD" is the shared core of
 	// the class: containment must elect it (the paper's golden value).

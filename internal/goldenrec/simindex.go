@@ -23,16 +23,15 @@ import (
 // pair ("some instance pair lies in two different clusters") reduces to
 // cluster-ownership counts. See TestSimIndexMatchesCandidates.
 type SimIndex struct {
-	col       int
-	threshold float64
-	pairs     []Candidate // all distinct-value pairs with Sim > threshold; V1 < V2, Prob = Sim
-	memo      *stringsim.Memo
+	col   int
+	pairs []Candidate // all distinct-value pairs with Sim > threshold; V1 < V2, Prob = Sim
+	memo  *stringsim.Memo
 }
 
 // NewSimIndex joins the distinct text values of column col of t once.
 // threshold is the λ of Algorithm 1 Strategy 2.
 func NewSimIndex(t *dataset.Table, col int, threshold float64) *SimIndex {
-	ix := &SimIndex{col: col, threshold: threshold, memo: stringsim.NewMemo()}
+	ix := &SimIndex{col: col, memo: stringsim.NewMemo()}
 	freq := t.DistinctStrings(col)
 	vals := make([]string, 0, len(freq))
 	for v := range freq {
@@ -48,12 +47,6 @@ func NewSimIndex(t *dataset.Table, col int, threshold float64) *SimIndex {
 	return ix
 }
 
-// Col returns the indexed column.
-func (ix *SimIndex) Col() int { return ix.col }
-
-// Threshold returns the join's similarity cutoff λ.
-func (ix *SimIndex) Threshold() float64 { return ix.threshold }
-
 // Pairs returns the precomputed join result. Read-only for callers; the
 // artifact cache sizes its SimIndex entries from it.
 func (ix *SimIndex) Pairs() []Candidate { return ix.pairs }
@@ -64,10 +57,9 @@ func (ix *SimIndex) Pairs() []Candidate { return ix.pairs }
 // per-call state, so each session needs its own.
 func (ix *SimIndex) CloneShared() *SimIndex {
 	return &SimIndex{
-		col:       ix.col,
-		threshold: ix.threshold,
-		pairs:     ix.pairs,
-		memo:      stringsim.NewMemo(),
+		col:   ix.col,
+		pairs: ix.pairs,
+		memo:  stringsim.NewMemo(),
 	}
 }
 

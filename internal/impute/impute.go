@@ -75,15 +75,3 @@ func (im *Imputer) SuggestFor(id dataset.TupleID) (Suggestion, bool) {
 	s.Value = sum / float64(len(neighbors))
 	return s, true
 }
-
-// SuggestAllMissing produces suggestions for every tuple whose Y cell is
-// null — the M-question set Q_M. Results are ordered by tuple id.
-func (im *Imputer) SuggestAllMissing() []Suggestion {
-	var out []Suggestion
-	for _, id := range im.table.MissingIDs(im.yCol) {
-		if s, ok := im.SuggestFor(id); ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}

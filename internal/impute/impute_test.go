@@ -65,15 +65,6 @@ func TestSuggestExcludesOwnYColumn(t *testing.T) {
 	}
 }
 
-func TestSuggestAllMissing(t *testing.T) {
-	tbl := seedbTable(t)
-	im := New(tbl, 2, 5)
-	all := im.SuggestAllMissing()
-	if len(all) != 1 || all[0].ID != tbl.ID(0) {
-		t.Fatalf("suggestions = %v", all)
-	}
-}
-
 func TestSuggestForUnknownTuple(t *testing.T) {
 	tbl := seedbTable(t)
 	im := New(tbl, 2, 5)

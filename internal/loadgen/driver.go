@@ -129,7 +129,6 @@ type Driver struct {
 	PollEvery time.Duration
 	// Deadline bounds the whole session (default 5m).
 	Deadline time.Duration
-	Logf     func(format string, args ...any)
 
 	// Boundaries records the state fingerprint observed at each
 	// completed iteration count (0 = after creation). The chaos tests
@@ -139,12 +138,6 @@ type Driver struct {
 	Boundaries map[int]string
 	// FinalState is the last state observed.
 	FinalState StateJSON
-}
-
-func (d *Driver) logf(format string, args ...any) {
-	if d.Logf != nil {
-		d.Logf(format, args...)
-	}
 }
 
 // post sends a JSON POST and returns status and body.

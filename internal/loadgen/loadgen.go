@@ -143,7 +143,6 @@ func Run(opts Options) (*Report, error) {
 			Iters:    opts.Iterations,
 			Stats:    stats,
 			Tolerant: true,
-			Logf:     opts.Logf,
 		}
 		wg.Add(1)
 		sem <- struct{}{}

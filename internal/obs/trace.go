@@ -28,14 +28,10 @@ type Trace struct {
 }
 
 // Tracer keeps the most recent traces in a fixed-size ring buffer.
-// Recording is O(1) and bounded in memory; readers copy out. The clock
-// is injectable so tests (and deterministic replays) can drive span
-// timing from a fake clock; durations use Go's monotonic-clock
-// arithmetic when the real clock is injected (time.Time subtraction
-// reads the monotonic reading when both operands carry one).
+// Recording is O(1) and bounded in memory; readers copy out. Callers
+// time their own work and hand the tracer finished traces (Record).
 type Tracer struct {
 	enabled atomic.Bool
-	now     func() time.Time
 
 	mu   sync.Mutex
 	ring []Trace
@@ -44,36 +40,28 @@ type Tracer struct {
 	seq  uint64 // total traces ever recorded
 }
 
-// NewTracer builds a tracer holding the last `capacity` traces, reading
-// time from `now` (nil selects time.Now). Tracers start disabled.
-func NewTracer(capacity int, now func() time.Time) *Tracer {
+// NewTracer builds a tracer holding the last `capacity` traces. Tracers
+// start disabled.
+func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Tracer{ring: make([]Trace, capacity), now: now}
+	return &Tracer{ring: make([]Trace, capacity)}
 }
 
 // DefaultTracer is the process-wide tracer the pipeline records
 // iteration spans into and cmd/viscleanweb serves at /debug/traces.
-var DefaultTracer = NewTracer(256, nil)
+var DefaultTracer = NewTracer(256)
 
-// SetEnabled switches recording on or off. While off, Start returns nil
-// and Record is a no-op — zero allocation per call.
+// SetEnabled switches recording on or off. While off, Record is a no-op
+// — zero allocation per call.
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // Enabled reports whether the tracer records.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-// Now reads the tracer's clock. Instrumentation sites that time work
-// themselves use it so a fake clock governs both start and end.
-func (t *Tracer) Now() time.Time { return t.now() }
-
 // Record appends one completed trace built from an externally measured
-// start time, duration and phase breakdown — the cheap path for callers
-// (like the pipeline) that already time their phases. phases is copied.
+// start time, duration and phase breakdown. phases is copied.
 func (t *Tracer) Record(name, label string, start time.Time, total time.Duration, phases []Phase) {
 	if !t.enabled.Load() {
 		return
@@ -94,47 +82,6 @@ func (t *Tracer) Record(name, label string, start time.Time, total time.Duration
 		t.n++
 	}
 	t.mu.Unlock()
-}
-
-// Span is an in-flight trace under construction. A nil *Span (what
-// Start returns when the tracer is disabled) accepts every method as a
-// no-op, so call sites need no guards.
-type Span struct {
-	t      *Tracer
-	name   string
-	label  string
-	start  time.Time
-	mark   time.Time
-	phases []Phase
-}
-
-// Start opens a span, or returns nil when the tracer is disabled.
-func (t *Tracer) Start(name, label string) *Span {
-	if !t.enabled.Load() {
-		return nil
-	}
-	now := t.now()
-	return &Span{t: t, name: name, label: label, start: now, mark: now}
-}
-
-// Phase closes the current phase: the time since the previous Phase
-// call (or since Start) is recorded under the given name.
-func (s *Span) Phase(name string) {
-	if s == nil {
-		return
-	}
-	now := s.t.now()
-	s.phases = append(s.phases, Phase{Name: name, DurationNS: now.Sub(s.mark).Nanoseconds()})
-	s.mark = now
-}
-
-// End records the span into the tracer's ring.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	now := s.t.now()
-	s.t.Record(s.name, s.label, s.start, now.Sub(s.start), s.phases)
 }
 
 // Recent returns up to max traces, newest first. max ≤ 0 returns all

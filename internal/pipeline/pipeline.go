@@ -592,9 +592,6 @@ func (s *Session) maintainKnnIndex() {
 // Callers must not modify it: the session's charts are cached over it.
 func (s *Session) Table() *dataset.Table { return s.table }
 
-// Query returns the session's visualization query.
-func (s *Session) Query() *vql.Query { return s.queries[0] }
-
 // Iteration returns the number of completed iterations.
 func (s *Session) Iteration() int { return s.iter }
 
@@ -626,11 +623,6 @@ type Timings struct {
 	Train    time.Duration // model retraining + cluster refresh
 	View     time.Duration // committed-relation build + executor registration (see below)
 	Distance time.Duration // visualization distance computations (moved / to-truth)
-}
-
-// Total sums all components.
-func (t Timings) Total() time.Duration {
-	return t.Detect + t.BuildERG + t.Benefit + t.Select + t.Apply + t.Train + t.View + t.Distance
 }
 
 // Report describes one iteration's outcome.

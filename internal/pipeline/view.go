@@ -36,7 +36,7 @@ func (s *Session) buildView(cl *em.Clusters, std map[string]*goldenrec.Standardi
 // viewRowFor consolidates one entity cluster into its view row — the
 // per-group core of buildView, exposed separately so the incremental
 // hypothesis pricer can rebuild exactly the rows a hypothesis perturbs.
-// ok is false when the group yields no row (vanished tuple).
+// ok is false when the group yields no row (an id past the table).
 func (s *Session) viewRowFor(group []dataset.TupleID, std map[string]*goldenrec.Standardizer, ov *dataset.Overlay) ([]dataset.Value, bool) {
 	if len(group) == 1 {
 		if _, ok := s.table.RowIndex(group[0]); !ok {

@@ -114,14 +114,3 @@ func CQG(g *erg.Graph) string {
 	}
 	return b.String()
 }
-
-// SideBySide renders two charts in two labeled blocks for before/after
-// comparisons in examples and the CLI.
-func SideBySide(titleA string, a *vis.Data, titleB string, b *vis.Data, width int) string {
-	var sb strings.Builder
-	sb.WriteString("== " + titleA + " ==\n")
-	sb.WriteString(Chart(a, width))
-	sb.WriteString("== " + titleB + " ==\n")
-	sb.WriteString(Chart(b, width))
-	return sb.String()
-}

@@ -113,14 +113,6 @@ func TestCQGRendering(t *testing.T) {
 	}
 }
 
-func TestSideBySide(t *testing.T) {
-	a, b := barData(), barData()
-	out := SideBySide("before", a, "after", b, 10)
-	if !strings.Contains(out, "== before ==") || !strings.Contains(out, "== after ==") {
-		t.Fatalf("side by side:\n%s", out)
-	}
-}
-
 func TestVegaLiteBar(t *testing.T) {
 	out, err := VegaLite(barData(), "Citations per venue")
 	if err != nil {

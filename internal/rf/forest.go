@@ -109,17 +109,6 @@ func (f *Forest) PredictProba(x []float64) float64 {
 	return sum / float64(len(f.trees))
 }
 
-// Predict returns the hard classification at threshold 0.5.
-func (f *Forest) Predict(x []float64) int {
-	if f.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// NumTrees reports the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // NumNodes reports the total node count across all trees, which sizes a
 // forest for the artifact cache's byte accounting.
 func (f *Forest) NumNodes() int {
@@ -128,15 +117,4 @@ func (f *Forest) NumNodes() int {
 		n += t.count()
 	}
 	return n
-}
-
-// MaxDepth reports the deepest tree's height, for introspection in tests.
-func (f *Forest) MaxDepth() int {
-	d := 0
-	for _, t := range f.trees {
-		if td := t.depth(); td > d {
-			d = td
-		}
-	}
-	return d
 }

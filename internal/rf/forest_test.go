@@ -49,7 +49,7 @@ func TestLearnsSeparableFunction(t *testing.T) {
 	correct := 0
 	tests, wants := linearlySeparable(rng, 200)
 	for i := range tests {
-		if f.Predict(tests[i]) == wants[i] {
+		if (f.PredictProba(tests[i]) >= 0.5) == (wants[i] == 1) {
 			correct++
 		}
 	}
@@ -137,12 +137,22 @@ func TestMaxDepthRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// depth counts nodes on the longest path; MaxDepth bounds split depth.
-	if d := f.MaxDepth(); d > cfg.MaxDepth+1 {
-		t.Fatalf("tree depth %d exceeds configured max %d", d, cfg.MaxDepth)
+	// height counts nodes on the longest path; MaxDepth bounds split
+	// depth.
+	var height func(nd *node) int
+	height = func(nd *node) int {
+		if nd.feature < 0 {
+			return 1
+		}
+		return 1 + max(height(nd.left), height(nd.right))
 	}
-	if f.NumTrees() != cfg.NumTrees {
-		t.Fatalf("trees = %d", f.NumTrees())
+	for _, tr := range f.trees {
+		if d := height(tr); d > cfg.MaxDepth+1 {
+			t.Fatalf("tree depth %d exceeds configured max %d", d, cfg.MaxDepth)
+		}
+	}
+	if len(f.trees) != cfg.NumTrees {
+		t.Fatalf("trees = %d", len(f.trees))
 	}
 }
 

@@ -133,18 +133,6 @@ func (nd *node) predict(x []float64) float64 {
 	return nd.prob
 }
 
-// depth returns the tree height (leaves have depth 1).
-func (nd *node) depth() int {
-	if nd.feature < 0 {
-		return 1
-	}
-	l, r := nd.left.depth(), nd.right.depth()
-	if r > l {
-		l = r
-	}
-	return l + 1
-}
-
 // count returns the number of nodes in the subtree.
 func (nd *node) count() int {
 	if nd.feature < 0 {

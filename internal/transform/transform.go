@@ -73,22 +73,6 @@ func (l *Learner) IsDecorative(token string) bool {
 	return l.decorative[strings.ToLower(token)] >= min
 }
 
-// Decorative returns the currently learned decorative tokens, sorted.
-func (l *Learner) Decorative() []string {
-	min := l.MinSupport
-	if min < 1 {
-		min = 1
-	}
-	out := make([]string, 0, len(l.decorative))
-	for t, n := range l.decorative {
-		if n >= min {
-			out = append(out, t)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Core returns the canonical signature of a value: its non-decorative
 // tokens, sorted and joined. An empty core means every token was
 // decoration; such values never generalize (nothing to anchor on).

@@ -14,16 +14,16 @@ func TestObserveContainmentLearnsDecoration(t *testing.T) {
 	if l.IsDecorative("sigmod") {
 		t.Fatal("core token marked decorative")
 	}
-	if got := l.Decorative(); !reflect.DeepEqual(got, []string{"acm"}) {
-		t.Fatalf("decorative = %v", got)
+	if !reflect.DeepEqual(l.decorative, map[string]int{"acm": 1}) {
+		t.Fatalf("decorative = %v", l.decorative)
 	}
 }
 
 func TestObserveNonContainmentTeachesNothing(t *testing.T) {
 	l := NewLearner()
 	l.Observe("VLDB", "Very Large Data Bases")
-	if len(l.Decorative()) != 0 {
-		t.Fatalf("non-containment pair taught %v", l.Decorative())
+	if len(l.decorative) != 0 {
+		t.Fatalf("non-containment pair taught %v", l.decorative)
 	}
 }
 

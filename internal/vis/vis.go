@@ -109,14 +109,6 @@ func (d *Data) shiftInto(out []float64, scale float64) (sum float64, finite int)
 
 func isFinite(y float64) bool { return !math.IsNaN(y) && !math.IsInf(y, 0) }
 
-// Clone deep-copies the data.
-func (d *Data) Clone() *Data {
-	cp := *d
-	cp.Points = make([]Point, len(d.Points))
-	copy(cp.Points, d.Points)
-	return &cp
-}
-
 // String renders the series compactly for logs and tests.
 func (d *Data) String() string {
 	var b strings.Builder

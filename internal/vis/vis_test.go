@@ -77,15 +77,6 @@ func TestNormalizedYZeroSum(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	d := sample()
-	cp := d.Clone()
-	cp.Points[0].Y = 99
-	if d.Points[0].Y != 3 {
-		t.Fatal("clone aliased points")
-	}
-}
-
 func TestString(t *testing.T) {
 	s := sample().String()
 	if !strings.Contains(s, "bar(Venue,Citations)") || !strings.Contains(s, "SIGMOD=3") {

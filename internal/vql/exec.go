@@ -53,24 +53,6 @@ func (q *Query) Validate(schema dataset.Schema) error {
 	return nil
 }
 
-// QueryType classifies the query per the paper's Table III:
-//
-//	1: X'=X (numeric), Y'=Y    2: X'=X (categorical), Y'=Y
-//	3: X'=BIN(X), Y'=AGG(Y)    4: X'=GROUP(X), Y'=AGG(Y)
-func (q *Query) QueryType(schema dataset.Schema) int {
-	switch q.Transform {
-	case TransformBin:
-		return 3
-	case TransformGroup:
-		return 4
-	}
-	xi := schema.Index(q.X)
-	if xi >= 0 && schema[xi].Kind == dataset.Float {
-		return 1
-	}
-	return 2
-}
-
 // Execute runs the query over the table, producing the chart series. The
 // table is not modified. Execution order follows the clause semantics:
 // WHERE filter → TRANSFORM (group/bin) → aggregate → SORT → LIMIT.

@@ -225,24 +225,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestQueryType(t *testing.T) {
-	schema := tableI(t).Schema()
-	cases := []struct {
-		src  string
-		want int
-	}{
-		{`VISUALIZE bar SELECT Citations, Citations FROM p`, 1},
-		{`VISUALIZE bar SELECT Venue, Citations FROM p`, 2},
-		{`VISUALIZE bar SELECT Year, COUNT(Year) FROM p TRANSFORM BIN Year BY INTERVAL 5`, 3},
-		{`VISUALIZE bar SELECT Venue, SUM(Citations) FROM p TRANSFORM GROUP BY Venue`, 4},
-	}
-	for _, c := range cases {
-		if got := MustParse(c.src).QueryType(schema); got != c.want {
-			t.Errorf("QueryType(%q) = %d, want %d", c.src, got, c.want)
-		}
-	}
-}
-
 func TestExecuteEmptyResult(t *testing.T) {
 	tbl := tableI(t)
 	q := MustParse(`VISUALIZE bar SELECT Venue, SUM(Citations) FROM p TRANSFORM GROUP BY Venue WHERE Year > 2020`)

@@ -43,11 +43,18 @@ go test -race -shuffle=on ./...
 
 # A crasher lands in the package's testdata/fuzz/ and is committed as a
 # regression input, which the plain `go test` above then replays.
+#
+# -fuzzminimizetime 1x: by default the fuzzer spends up to 60 s
+# minimizing each input with new coverage instead of fuzzing, so the
+# four steps that carry the flag ran at 0 new execs/s for most of their
+# 10 s (FuzzImport, whose every exec rebuilds a D1 session, after its
+# first 3 s). One minimization exec per input keeps them fuzzing; a
+# crasher is still written to testdata/fuzz, only less minimized.
 echo "== fuzz: similarity kernels vs the string-level measures (10 s)"
-go test -run '^$' -fuzz '^FuzzSimilarityKernels$' -fuzztime 10s ./internal/stringsim
+go test -run '^$' -fuzz '^FuzzSimilarityKernels$' -fuzztime 10s -fuzzminimizetime 1x ./internal/stringsim
 
 echo "== fuzz: token-id self-join vs the all-pairs reference (10 s)"
-go test -run '^$' -fuzz '^FuzzSelfJoin$' -fuzztime 10s ./internal/stringsim
+go test -run '^$' -fuzz '^FuzzSelfJoin$' -fuzztime 10s -fuzzminimizetime 1x ./internal/stringsim
 
 echo "== fuzz: kNN id index vs the string-set reference (10 s)"
 go test -run '^$' -fuzz '^FuzzNearest$' -fuzztime 10s ./internal/knn
@@ -65,10 +72,10 @@ echo "== fuzz: VQL parse and print round trip (10 s)"
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/vql
 
 echo "== fuzz: CSV load and save fixed point (10 s)"
-go test -run '^$' -fuzz '^FuzzCSVRoundTrip$' -fuzztime 10s ./internal/dataset
+go test -run '^$' -fuzz '^FuzzCSVRoundTrip$' -fuzztime 10s -fuzzminimizetime 1x ./internal/dataset
 
 echo "== fuzz: session import body, the one rebuild path (10 s)"
-go test -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s ./internal/web
+go test -run '^$' -fuzz '^FuzzImport$' -fuzztime 10s -fuzzminimizetime 1x ./internal/web
 
 echo "== shared kNN and basevis artifacts under concurrent sessions (-race, 10 runs)"
 go test -race -count=10 -run '^(TestKnnBaseSharedAcrossSessions|TestDeterminismArtifactCacheConcurrent)$' ./internal/pipeline/
